@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSeq
-from .labels import KEEP, Kind, LabelSequence, TransformLabel, \
-    apply_labels, format_label
+from .labels import KEEP, Kind, LabelSequence, SENTINEL_KINDS, \
+    TransformLabel, apply_labels, format_label
 from .model import GecModel, TokenDistributions
 
 
@@ -24,8 +24,6 @@ class InferenceConfig:
     gamma: float = 0.5
     beta: float = 0.0
     max_iters: int = 5
-    # divide the sentence score by its token count before the gamma gate
-    normalize_score: bool = False
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -66,22 +64,28 @@ def sentence_error_score(dists: TokenDistributions) -> float:
     return float(dists.ged[1:, 1].sum())
 
 
+def keep_biased_ids(rows: np.ndarray, beta: float) -> np.ndarray:
+    """Per-row argmax over the last axis after adding beta to the keep
+    entry (no renormalization; only the argmax is consumed, so the
+    unnormalized sum is harmless)."""
+    rows = np.array(rows, dtype=np.float64)
+    rows[..., 0] += beta
+    return rows.argmax(axis=-1)
+
+
 def biased_argmax(gel_row: np.ndarray, beta: float,
                   label_vocab) -> TransformLabel:
-    """Argmax after adding beta to the keep entry (no renormalization;
-    only the argmax is consumed, so the unnormalized sum is harmless)."""
-    row = np.asarray(gel_row, dtype=np.float64).copy()
-    row[0] += beta
-    label = label_vocab.id_to_label(int(np.argmax(row)))
+    """The keep-biased label of one row; the unknown label keeps."""
+    label = label_vocab.id_to_label(int(keep_biased_ids(gel_row, beta)))
     return KEEP if label is None else label
 
 
 def predict_labels(model: GecModel, dists: TokenDistributions,
                    beta: float) -> LabelSequence:
-    labels = [biased_argmax(row, beta, model.label_vocab)
-              for row in dists.gel]
-    # the sentinel admits only keep or append
-    if labels and labels[0].kind not in (Kind.KEP, Kind.APP):
+    parsed = model.label_vocab.parsed
+    labels = [KEEP if parsed[i] is None else parsed[i]
+              for i in keep_biased_ids(dists.gel, beta).tolist()]
+    if labels and labels[0].kind not in SENTINEL_KINDS:
         labels[0] = KEEP
     return labels
 
@@ -94,11 +98,9 @@ def correct(model: GecModel, sentence: TokenSeq,
     for _ in range(config.max_iters):
         dists = model.forward_tokens(cur)
         score = sentence_error_score(dists)
-        gate = score / max(1, len(cur) - 1) if config.normalize_score \
-            else score
         labels = predict_labels(model, dists, config.beta)
         any_edit = any(lab.kind is not Kind.KEP for lab in labels)
-        if gate <= config.gamma or not any_edit:
+        if score <= config.gamma or not any_edit:
             trace.rounds.append(CorrectionRound(cur, labels, score, False))
             break
         new = apply_labels(cur, labels)

@@ -15,8 +15,11 @@ loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import morph
 from .corpus import SENTINEL, SentencePair, TokenSeq
@@ -39,8 +42,11 @@ _PARAM_KINDS = {Kind.APP, Kind.REP, Kind.CAS, Kind.VFORM}
 # Labels that never change sequence length when applied.
 LENGTH_PRESERVING_KINDS = {Kind.KEP, Kind.REP, Kind.CAS, Kind.NNUM, Kind.VFORM}
 
+# The only labels the sentinel (position 0) admits.
+SENTINEL_KINDS = {Kind.KEP, Kind.APP}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TransformLabel:
     kind: Kind
     param: str | None = None
@@ -90,7 +96,13 @@ def parse_label(text: str) -> TransformLabel:
 
 
 class LabelVocab:
-    """Label-string <-> dense id map; id 0 is always $KEP."""
+    """Label-string <-> dense id map; id 0 is always $KEP.
+
+    The parsed labels and the per-id kind masks are computed once, on
+    first use, and shared by every caller.  They are not computed in the
+    constructor: loading a checkpoint builds a vocabulary, and parsing
+    every label there would cost about twice the rest of the load.
+    """
 
     def __init__(self, labels: list[str]):
         if not labels or labels[0] != "$KEP":
@@ -120,17 +132,30 @@ class LabelVocab:
 
     def id_to_label(self, idx: int) -> TransformLabel | None:
         """None for the unknown label (treated as a no-op by callers)."""
-        text = self.labels[idx]
-        if text == UNK_LABEL_STRING:
-            return None
-        return parse_label(text)
+        return self.parsed[idx]
 
     def encode(self, labels: LabelSequence):
         return [self.label_to_id(lab) for lab in labels]
 
-    def kind_of_id(self, idx: int) -> Kind | None:
-        label = self.id_to_label(idx)
-        return None if label is None else label.kind
+    @functools.cached_property
+    def parsed(self) -> list[TransformLabel | None]:
+        """Per-id parsed labels; None for the unknown label."""
+        return [None if text == UNK_LABEL_STRING else parse_label(text)
+                for text in self.labels]
+
+    def _kind_mask(self, kinds) -> np.ndarray:
+        return np.array([lab is not None and lab.kind in kinds
+                         for lab in self.parsed], dtype=bool)
+
+    @functools.cached_property
+    def sentinel_mask(self) -> np.ndarray:
+        """Ids the sentinel admits (SENTINEL_KINDS)."""
+        return self._kind_mask(SENTINEL_KINDS)
+
+    @functools.cached_property
+    def length_preserving_mask(self) -> np.ndarray:
+        """Ids whose labels never change the sequence length."""
+        return self._kind_mask(LENGTH_PRESERVING_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +293,7 @@ def apply_labels_with_warnings(
     while i < n:
         tok = src[i]
         label = labels[i]
-        if i == 0 and label.kind not in (Kind.KEP, Kind.APP):
+        if i == 0 and label.kind not in SENTINEL_KINDS:
             warnings.append(f"pos 0: {label} not allowed on sentinel")
             label = KEEP
         kind = label.kind

@@ -5,6 +5,10 @@ and takes the argmax; its temperature-controlled softmax relaxation
 shares the same noise, so the relaxed row's argmax always equals the
 hard sample.  Plain multinomial and uniform-random draws are kept as
 baselines.
+
+The Gumbel functions take rows of shape (..., V) and reduce over the
+last axis; a matrix call equals row-by-row calls bit for bit, since the
+generator draws a matrix as the same stream as its rows in turn.
 """
 
 from __future__ import annotations
@@ -34,8 +38,9 @@ class SamplingConfig:
             raise ValueError("tau must be positive")
 
 
-def sample_gumbel(count: int, rng: np.random.Generator) -> np.ndarray:
-    """count i.i.d. standard Gumbel variates via inverse transform."""
+def sample_gumbel(count, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. standard Gumbel variates via inverse transform; count is a
+    length or a shape."""
     u = np.clip(rng.random(count), U_EPS, 1.0 - U_EPS)
     return -np.log(-np.log(u))
 
@@ -44,8 +49,8 @@ def _log_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite and non-negative")
-    total = p.sum()
-    if total <= 0:
+    total = p.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("probabilities sum to zero")
     p = p / total
     with np.errstate(divide="ignore"):
@@ -65,9 +70,9 @@ def gumbel_max(probs, rng: np.random.Generator) -> int:
 def relax_with_noise(probs, noise: np.ndarray, tau: float) -> np.ndarray:
     logits = (_log_probs(probs) + noise) / tau
     # all-(-inf) rows are excluded by _log_probs, so the max is finite
-    z = logits - logits.max()
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gumbel_softmax(probs, tau: float, rng: np.random.Generator) -> np.ndarray:

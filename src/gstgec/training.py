@@ -8,6 +8,10 @@ per position is sampled from the keep-biased labeling distribution and
 applied, manufacturing a new errorful variant of that sentence.  Raising
 the keep confidence lowers the error rate of the synthesized data;
 raising the gate shrinks how much of the corpus is synthesized from.
+
+Synthesis samples a whole sentence at once: the label rows are masked
+with the label vocabulary's precomputed kind masks, and under
+Gumbel-Softmax one noise matrix perturbs every row.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ import numpy as np
 
 from .corpus import SentencePair, TokenSeq, TokenVocab
 from .inference import InferenceConfig, correct_sentence, \
-    sentence_error_score
-from .labels import KEEP, Kind, LENGTH_PRESERVING_KINDS, LabelSequence, \
-    LabelVocab, apply_labels, binarize, extract_labels, format_label, \
-    measure_error_rate
+    keep_biased_ids, sentence_error_score
+from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
+    LabelVocab, SENTINEL_KINDS, apply_labels, binarize, extract_labels, \
+    format_label, measure_error_rate
 from .model import AdamState, GecModel, adam_step, forward, loss_and_grads
 from .sampling import SamplingConfig, SamplingMode, relax_with_noise, \
     sample_gumbel, sample_label
@@ -40,9 +44,6 @@ class TrainingConfig:
     batch_size: int = 16
     seed: int = 0
     ged_weight: float = 1.0
-    # gamma/beta used during synthesis; None means share the values above
-    synth_gamma: float | None = None
-    synth_beta: float | None = None
 
     def __post_init__(self):
         if self.stages < 1 or self.epochs_per_stage < 1:
@@ -51,14 +52,6 @@ class TrainingConfig:
             raise ValueError("synthesis_pairing must be realign or literal")
         if self.gamma < 0 or self.beta < 0:
             raise ValueError("gamma and beta must be non-negative")
-
-    @property
-    def effective_synth_gamma(self) -> float:
-        return self.gamma if self.synth_gamma is None else self.synth_gamma
-
-    @property
-    def effective_synth_beta(self) -> float:
-        return self.beta if self.synth_beta is None else self.synth_beta
 
 
 @dataclass
@@ -71,7 +64,7 @@ class TrainExample:
     det_bits: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class SyntheticExample:
     source: TokenSeq
     labels: LabelSequence
@@ -145,36 +138,26 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
     return total_loss / len(order)
 
 
-def _length_preserving_mask(label_vocab: LabelVocab) -> np.ndarray:
-    mask = np.zeros(len(label_vocab), dtype=bool)
-    for idx in range(len(label_vocab)):
-        kind = label_vocab.kind_of_id(idx)
-        if kind in LENGTH_PRESERVING_KINDS:
-            mask[idx] = True
-    return mask
+def _sample_ids(rows: np.ndarray, cfg: TrainingConfig,
+                rng: np.random.Generator) -> list[int]:
+    """Draw one label index per row under the keep bias.
 
-
-def _sample_biased(probs: np.ndarray, beta: float, cfg: TrainingConfig,
-                   rng: np.random.Generator) -> int:
-    """Draw one label index under the keep bias.
-
-    The exact sampler mirrors inference: the relaxed sample row is a
+    The exact sampler mirrors inference: each relaxed sample row is a
     valid distribution, so adding the keep confidence to it before the
     argmax makes beta >= 1 force the keep label outright, and with
     shared noise the keep region only grows as beta grows.  The
     multinomial baseline instead folds the bias into the row it draws
-    from; the random baseline ignores probabilities entirely.
+    from; the random baseline ignores probabilities entirely.  Both
+    baselines draw row by row.
     """
     if cfg.sampling.mode is SamplingMode.GUMBEL_SOFTMAX:
-        noise = sample_gumbel(len(probs), rng)
-        relaxed = relax_with_noise(probs, noise, cfg.sampling.tau)
-        relaxed[0] += beta
-        return int(np.argmax(relaxed))
+        relaxed = relax_with_noise(rows, sample_gumbel(rows.shape, rng),
+                                   cfg.sampling.tau)
+        return keep_biased_ids(relaxed, cfg.beta).tolist()
     if cfg.sampling.mode is SamplingMode.MULTINOMIAL:
-        shifted = probs.copy()
-        shifted[0] += beta
-        return sample_label(shifted, cfg.sampling, rng)
-    return sample_label(probs, cfg.sampling, rng)
+        rows = rows.copy()
+        rows[:, 0] += cfg.beta
+    return [sample_label(row, cfg.sampling, rng) for row in rows]
 
 
 def synthesize_example(model: GecModel, pair: SentencePair,
@@ -182,39 +165,36 @@ def synthesize_example(model: GecModel, pair: SentencePair,
                        stage: int, cfg: TrainingConfig,
                        rng: np.random.Generator) -> SyntheticExample | None:
     """Sample one errorful variant of a genuine source, or None when the
-    detector sees too little error mass in it."""
+    detector sees too little error mass in it.
+
+    gold_labels must equal extract_labels(pair): a sample that leaves
+    the source unchanged reuses them instead of aligning again, and
+    literal pairing keeps them for every sample.
+    """
     dists = forward(model.params, model.token_vocab.encode(pair.source),
                     model.cfg)
-    if sentence_error_score(dists) <= cfg.effective_synth_gamma:
+    if sentence_error_score(dists) <= cfg.gamma:
         return None
+    vocab = model.label_vocab
     literal = cfg.synthesis_pairing == "literal"
-    mask = _length_preserving_mask(model.label_vocab) if literal else None
-    beta = cfg.effective_synth_beta
-    sampled: LabelSequence = []
-    for pos, row in enumerate(dists.gel):
-        probs = np.asarray(row, dtype=np.float64).copy()
-        if literal:
-            probs = probs * mask
-        if pos == 0:
-            # the sentinel admits only keep (or append, which literal
-            # mode excludes anyway); restrict the row accordingly
-            allowed = np.zeros_like(probs)
-            allowed[0] = probs[0]
-            if not literal:
-                for idx in range(len(probs)):
-                    if model.label_vocab.kind_of_id(idx) is Kind.APP:
-                        allowed[idx] = probs[idx]
-            probs = allowed
-        probs /= probs.sum()
-        idx = _sample_biased(probs, beta, cfg, rng)
-        label = model.label_vocab.id_to_label(idx)
+    rows = dists.gel.astype(np.float64)
+    if literal:
+        rows *= vocab.length_preserving_mask
+    rows[0] *= vocab.sentinel_mask
+    rows /= rows.sum(axis=-1, keepdims=True)
+    parsed = vocab.parsed
+    # the unknown label keeps; the random baseline ignores the masks,
+    # so its draws are checked against them here
+    sampled = [parsed[idx] for idx in _sample_ids(rows, cfg, rng)]
+    for pos, label in enumerate(sampled):
         if label is None or (literal and label.kind not in
                              LENGTH_PRESERVING_KINDS):
-            label = KEEP
-        if pos == 0 and label.kind not in (Kind.KEP, Kind.APP):
-            label = KEEP
-        sampled.append(label)
+            sampled[pos] = KEEP
+    if sampled[0].kind not in SENTINEL_KINDS:
+        sampled[0] = KEEP
     synthetic_source = apply_labels(pair.source, sampled)
+    if synthetic_source == pair.source:
+        return SyntheticExample(pair.source, gold_labels, origin_index, stage)
     if literal:
         labels = gold_labels
     else:

@@ -141,3 +141,34 @@ def test_token_vocab_min_freq():
     vocab = TokenVocab.build([(SENTINEL, "a", "a", "b")], min_freq=2)
     assert "b" not in vocab
     assert "a" in vocab
+
+
+def test_label_vocab_and_checkpoint_load_parse_no_label(tmp_path,
+                                                        monkeypatch):
+    import gstgec.labels as labels_module
+
+    calls = []
+    real = labels_module.parse_label
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(labels_module, "parse_label", counting)
+    strings = ["$KEP", "$UNK", "$DEL", "$REP_a", "$APP_b", "$MRG"]
+    vocab = LabelVocab(strings)
+    path = tmp_path / "model.gst"
+    model = _tiny_model(4)
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    assert calls == []
+    # first use parses each label once; later uses reuse the parse
+    assert vocab.id_to_label(3) == real("$REP_a")
+    vocab.sentinel_mask, vocab.length_preserving_mask, vocab.parsed
+    assert sorted(calls) == sorted(s for s in strings if s != "$UNK")
+    assert vocab.sentinel_mask.tolist() == [True, False, False, False,
+                                            True, False]
+    assert vocab.length_preserving_mask.tolist() == [True, False, False,
+                                                     True, False, False]
+    loaded.label_vocab.parsed
+    assert len(calls) == len(strings) - 1 + len(loaded.label_vocab) - 1

@@ -157,3 +157,30 @@ def test_inference_config_validation():
         InferenceConfig(beta=-0.1)
     with pytest.raises(ValueError):
         InferenceConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
+                                                     beta):
+    from gstgec.labels import KEEP, SENTINEL_KINDS
+
+    rng = np.random.default_rng(17)
+    num_labels = len(toy_model.label_vocab)
+    model_dists = [toy_model.forward_tokens(p.source) for p in toy_pairs[:40]]
+    # flat random rows put every label, the sentinel's included, on top
+    random_dists = [TokenDistributions(
+        ged=np.full((8, 2), 0.5),
+        gel=rng.dirichlet(np.full(num_labels, 0.05), size=8))
+        for _ in range(40)]
+    edits = sentinel_fixes = 0
+    for dists in model_dists + random_dists:
+        want = [biased_argmax(row, beta, toy_model.label_vocab)
+                for row in dists.gel]
+        if want[0].kind not in SENTINEL_KINDS:
+            want[0] = KEEP
+            sentinel_fixes += 1
+        got = predict_labels(toy_model, dists, beta)
+        assert got == want
+        edits += sum(lab.kind is not Kind.KEP for lab in got)
+    if beta < 1.0:
+        assert edits > 0 and sentinel_fixes > 0

@@ -148,3 +148,27 @@ def test_tau_must_be_positive():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         gumbel_softmax([0.5, 0.5], tau=-1.0, rng=rng)
+
+
+def test_relax_with_noise_rows_equal_row_by_row():
+    rng = np.random.default_rng(13)
+    probs = rng.dirichlet(np.ones(37), size=9)
+    probs[2, 5:] = 0.0  # rows with impossible classes
+    noise = sample_gumbel(probs.shape, np.random.default_rng(14))
+    for tau in (0.3, 1.0, 4.0):
+        batched = relax_with_noise(probs, noise, tau)
+        for row, n, got in zip(probs, noise, batched):
+            assert got.tobytes() == relax_with_noise(row, n, tau).tobytes()
+
+
+def test_sample_gumbel_matrix_is_the_row_stream():
+    a = sample_gumbel((6, 11), np.random.default_rng(15))
+    rng = np.random.default_rng(15)
+    b = np.stack([sample_gumbel(11, rng) for _ in range(6)])
+    assert a.tobytes() == b.tobytes()
+
+
+def test_relax_with_noise_rejects_any_zero_row():
+    probs = np.array([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        relax_with_noise(probs, np.zeros_like(probs), 1.0)

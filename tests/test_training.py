@@ -249,3 +249,84 @@ def test_corrupt_measured_error_rate_tracks_config():
         measured = float(np.mean([
             measure_error_rate(extract_labels(p)) for p in pairs]))
         assert measured == pytest.approx(rate, abs=0.05)
+
+
+def reference_synthesize_example(model, pair, gold_labels, origin_index,
+                                 stage, cfg, rng):
+    """Position-by-position sampler that the vectorized one replaced: one
+    noise row (or one baseline draw) per position, masks rebuilt from
+    the label strings."""
+    from gstgec.inference import sentence_error_score
+    from gstgec.labels import KEEP, LENGTH_PRESERVING_KINDS, \
+        apply_labels, parse_label
+    from gstgec.model import forward
+    from gstgec.sampling import relax_with_noise, sample_gumbel, \
+        sample_label
+    from gstgec.training import SyntheticExample
+
+    vocab = model.label_vocab
+    kinds = [None if s == "$UNK" else parse_label(s).kind
+             for s in vocab.labels]
+    dists = forward(model.params, model.token_vocab.encode(pair.source),
+                    model.cfg)
+    if sentence_error_score(dists) <= cfg.gamma:
+        return None
+    literal = cfg.synthesis_pairing == "literal"
+    mask = np.array([k in LENGTH_PRESERVING_KINDS for k in kinds])
+    sampled = []
+    for pos, row in enumerate(dists.gel):
+        probs = np.asarray(row, dtype=np.float64).copy()
+        if literal:
+            probs = probs * mask
+        if pos == 0:
+            allowed = np.zeros_like(probs)
+            allowed[0] = probs[0]
+            if not literal:
+                for idx, kind in enumerate(kinds):
+                    if kind is Kind.APP:
+                        allowed[idx] = probs[idx]
+            probs = allowed
+        probs /= probs.sum()
+        if cfg.sampling.mode is SamplingMode.GUMBEL_SOFTMAX:
+            noise = sample_gumbel(len(probs), rng)
+            relaxed = relax_with_noise(probs, noise, cfg.sampling.tau)
+            relaxed[0] += cfg.beta
+            idx = int(np.argmax(relaxed))
+        elif cfg.sampling.mode is SamplingMode.MULTINOMIAL:
+            shifted = probs.copy()
+            shifted[0] += cfg.beta
+            idx = sample_label(shifted, cfg.sampling, rng)
+        else:
+            idx = sample_label(probs, cfg.sampling, rng)
+        text = vocab.labels[idx]
+        label = None if text == "$UNK" else parse_label(text)
+        if label is None or (literal and label.kind not in
+                             LENGTH_PRESERVING_KINDS):
+            label = KEEP
+        if pos == 0 and label.kind not in (Kind.KEP, Kind.APP):
+            label = KEEP
+        sampled.append(label)
+    synthetic_source = apply_labels(pair.source, sampled)
+    if literal:
+        labels = gold_labels
+    else:
+        labels = extract_labels(SentencePair(synthetic_source, pair.target))
+    return SyntheticExample(synthetic_source, labels, origin_index, stage)
+
+
+@pytest.mark.parametrize("pairing", ["realign", "literal"])
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_synthesize_example_matches_per_position_reference(
+        toy_model, toy_pairs, mode, pairing):
+    cfg = TrainingConfig(gamma=0.0, beta=0.2, synthesis_pairing=pairing,
+                         sampling=SamplingConfig(mode=mode, tau=0.7))
+    changed = 0
+    for k, pair in enumerate(toy_pairs[:60]):
+        gold = extract_labels(pair)
+        got = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+                                 np.random.default_rng((5, k)))
+        want = reference_synthesize_example(toy_model, pair, gold, k, 1,
+                                            cfg, np.random.default_rng((5, k)))
+        assert got == want, k
+        changed += got.source != pair.source
+    assert changed > 0  # the comparison covers sampled edits, not only keeps

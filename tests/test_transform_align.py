@@ -224,3 +224,12 @@ def test_iterative_round_trip_hypothesis(src_words, tgt_words):
     final, rounds = correct_iteratively(src, tgt)
     assert final == tgt
     assert rounds <= max(5, edit_distance(src, tgt))
+
+
+def test_transform_label_slotted_value_semantics():
+    a, b = TransformLabel(Kind.REP, "x"), parse_label("$REP_x")
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, KEEP}) == 2
+    with pytest.raises(AttributeError):
+        a.param = "y"
+    assert not hasattr(a, "__dict__")
