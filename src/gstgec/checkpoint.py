@@ -21,8 +21,6 @@ from .model import GecModel, ModelConfig, param_shapes
 
 MAGIC = b"GST1"
 
-_CONFIG_FIELDS = ("dim", "layers", "heads", "max_len", "dropout", "dtype")
-
 
 def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
     cfg_doc = {

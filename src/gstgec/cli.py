@@ -1,9 +1,11 @@
 """Command-line entry points.
 
 One binary with subcommands: align, train, gst, correct, evaluate,
-synthesize.  Every command writes a manifest (the fully resolved
-configuration) next to its primary output; re-running from the same
-manifest reproduces the outputs bit-exactly.
+synthesize.  A command that writes an output file writes a manifest
+next to it, recording every parsed option of the subcommand; re-running
+from the same manifest reproduces the outputs bit-exactly.  Settings
+are checked by the config dataclasses, which each subcommand builds
+before it reads any input.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
@@ -22,40 +24,41 @@ from .corpus import detokenize, read_parallel_tsv, read_sentences, \
     write_labeled_tsv
 from .errors import GstError
 from .inference import InferenceConfig, correct
-from .labels import extract_labels, format_label, measure_error_rate
+from .labels import extract_labels, format_label
 from .model import GecModel
 from .sampling import SamplingConfig, SamplingMode
 from .scoring import score_corpus
-from .training import TrainingConfig, build_vocabs, metrics_csv, run_gst, \
-    synthesize_dataset, synthetic_tsv_rows
-
-_SAMPLING_NAMES = {
-    "gumbel": SamplingMode.GUMBEL_SOFTMAX,
-    "multinomial": SamplingMode.MULTINOMIAL,
-    "random": SamplingMode.RANDOM,
-}
+from .training import TrainingConfig, build_vocabs, mean_error_rate, \
+    metrics_csv, run_gst, synthesize_dataset, synthetic_tsv_rows
 
 
 class UsageError(GstError):
     pass
 
 
-def _write_manifest(path, command: str, settings: dict) -> None:
-    lines = [f"command = {command}", f"version = {__version__}"]
+def _settings(args) -> dict[str, str]:
+    """Every parsed option of the subcommand, as manifests and
+    checkpoints record it."""
+    return {key: str(value) for key, value in vars(args).items()
+            if key not in ("command", "func")}
+
+
+def _write_manifest(output, args) -> None:
+    """Write <output>.manifest: the command, the version and the
+    settings."""
+    settings = _settings(args)
+    lines = [f"command = {args.command}", f"version = {__version__}"]
     for key in sorted(settings):
         lines.append(f"{key} = {settings[key]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _manifest_path(output) -> Path:
-    return Path(str(output) + ".manifest")
+    Path(str(output) + ".manifest").write_text("\n".join(lines) + "\n",
+                                               encoding="utf-8")
 
 
 def _add_sampling_args(p):
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--sampling", choices=sorted(_SAMPLING_NAMES),
+    p.add_argument("--sampling", choices=[m.value for m in SamplingMode],
                    default="gumbel")
     p.add_argument("--seed", type=int, default=0)
 
@@ -70,17 +73,6 @@ def _add_model_args(p):
     p.add_argument("--batch-size", type=int, default=16)
 
 
-def _validate_common(args):
-    if getattr(args, "gamma", 0) < 0:
-        raise UsageError("--gamma must be non-negative")
-    if getattr(args, "beta", 0) < 0:
-        raise UsageError("--beta must be non-negative")
-    if getattr(args, "tau", 1) <= 0:
-        raise UsageError("--tau must be positive")
-    if getattr(args, "max_iters", 1) < 1:
-        raise UsageError("--max-iters must be at least 1")
-
-
 def cmd_align(args) -> int:
     pairs = read_parallel_tsv(args.input)
     rows = []
@@ -88,13 +80,27 @@ def cmd_align(args) -> int:
         labels = extract_labels(pair)
         rows.append((pair.source, [format_label(lab) for lab in labels]))
     write_labeled_tsv(rows, args.output)
-    _write_manifest(_manifest_path(args.output), "align", {
-        "input": args.input, "output": args.output})
+    _write_manifest(args.output, args)
     return 0
 
 
-def _run_training(args, stages: int) -> int:
-    _validate_common(args)
+def _training_config(args) -> TrainingConfig:
+    """The config of train, gst and synthesize; synthesize parses no
+    training options, so they keep their defaults there."""
+    train = {}
+    if args.command != "synthesize":
+        train = dict(stages=args.stages, epochs_per_stage=args.epochs,
+                     lr=args.lr, batch_size=args.batch_size)
+    return TrainingConfig(
+        gamma=args.gamma, beta=args.beta,
+        sampling=SamplingConfig(mode=SamplingMode(args.sampling),
+                                tau=args.tau, seed=args.seed),
+        synthesis_pairing=args.pairing, seed=args.seed, **train)
+
+
+def cmd_train(args) -> int:
+    """train and gst; train is gst with a single stage."""
+    cfg = _training_config(args)
     pairs = read_parallel_tsv(args.data)
     heldout = None
     if args.heldout:
@@ -113,31 +119,12 @@ def _run_training(args, stages: int) -> int:
         token_vocab, label_vocab, seed=args.seed, dim=args.dim,
         layers=args.layers, heads=args.heads, max_len=args.max_len,
         dropout=args.dropout)
-    cfg = TrainingConfig(
-        stages=stages, epochs_per_stage=args.epochs, gamma=args.gamma,
-        beta=args.beta,
-        sampling=SamplingConfig(mode=_SAMPLING_NAMES[args.sampling],
-                                tau=args.tau, seed=args.seed),
-        synthesis_pairing=args.pairing, lr=args.lr,
-        batch_size=args.batch_size, seed=args.seed)
     model, metrics = run_gst(model, pairs, cfg, heldout_pairs=heldout)
 
-    settings = {
-        "data": args.data, "out": args.out, "stages": stages,
-        "epochs": args.epochs, "gamma": args.gamma, "beta": args.beta,
-        "tau": args.tau, "sampling": args.sampling, "seed": args.seed,
-        "pairing": args.pairing, "dim": args.dim, "layers": args.layers,
-        "heads": args.heads, "max_len": args.max_len,
-        "dropout": args.dropout, "lr": args.lr,
-        "batch_size": args.batch_size, "heldout": args.heldout or "",
-        "heldout_frac": args.heldout_frac, "threads": args.threads,
-    }
-    save_checkpoint(model, args.out, extra={k: str(v)
-                                            for k, v in settings.items()})
+    save_checkpoint(model, args.out, extra=_settings(args))
     csv_path = Path(str(args.out) + ".metrics.csv")
     csv_path.write_text(metrics_csv(metrics), encoding="utf-8")
-    _write_manifest(_manifest_path(args.out), "gst" if stages > 1 or
-                    args.command == "gst" else "train", settings)
+    _write_manifest(args.out, args)
     for m in metrics:
         line = f"stage {m.stage} loss={m.epoch_losses[-1]:.4f}"
         if m.eval is not None:
@@ -147,21 +134,10 @@ def _run_training(args, stages: int) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    return _run_training(args, stages=1)
-
-
-def cmd_gst(args) -> int:
-    if args.stages < 1:
-        raise UsageError("--stages must be at least 1")
-    return _run_training(args, stages=args.stages)
-
-
 def cmd_correct(args) -> int:
-    _validate_common(args)
-    model, _ = load_checkpoint(args.model)
     icfg = InferenceConfig(gamma=args.gamma, beta=args.beta,
                            max_iters=args.max_iters)
+    model, _ = load_checkpoint(args.model)
     sentences = read_sentences(args.input)
     out_lines = []
     for sent in sentences:
@@ -172,10 +148,7 @@ def cmd_correct(args) -> int:
     text = "\n".join(out_lines) + ("\n" if out_lines else "")
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
-        _write_manifest(_manifest_path(args.output), "correct", {
-            "model": args.model, "input": args.input,
-            "output": args.output, "gamma": args.gamma, "beta": args.beta,
-            "max_iters": args.max_iters, "trace": args.trace})
+        _write_manifest(args.output, args)
     else:
         sys.stdout.write(text)
     return 0
@@ -193,27 +166,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    _validate_common(args)
+    cfg = _training_config(args)
     model, _ = load_checkpoint(args.model)
     pairs = read_parallel_tsv(args.data)
-    cfg = TrainingConfig(
-        gamma=args.gamma, beta=args.beta,
-        sampling=SamplingConfig(mode=_SAMPLING_NAMES[args.sampling],
-                                tau=args.tau, seed=args.seed),
-        synthesis_pairing=args.pairing, seed=args.seed)
     gold = [extract_labels(p) for p in pairs]
     synthetic = synthesize_dataset(model, pairs, gold, stage=0, cfg=cfg,
                                    base_seed=args.seed)
     write_labeled_tsv(synthetic_tsv_rows(synthetic), args.out)
-    rate = float(np.mean([measure_error_rate(s.labels)
-                          for s in synthetic])) if synthetic else 0.0
-    _write_manifest(_manifest_path(args.out), "synthesize", {
-        "model": args.model, "data": args.data, "out": args.out,
-        "gamma": args.gamma, "beta": args.beta, "tau": args.tau,
-        "sampling": args.sampling, "seed": args.seed,
-        "pairing": args.pairing})
+    _write_manifest(args.out, args)
     print(f"synthesized {len(synthetic)} of {len(pairs)} sentences, "
-          f"mean label error rate {rate:.4f}")
+          f"mean label error rate {mean_error_rate(synthetic):.4f}")
     return 0
 
 
@@ -221,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gstgec",
         description="Sequence-labeling grammatical error correction")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on internal parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="extract edit labels from a parallel "
@@ -240,13 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int, default=5)
         if name == "gst":
             p.add_argument("--stages", type=int, default=5)
-        p.add_argument("--heldout", default=None)
+        else:
+            p.set_defaults(stages=1)
+        p.add_argument("--heldout", default="")
         p.add_argument("--heldout-frac", type=float, default=0.0)
         p.add_argument("--pairing", choices=("realign", "literal"),
                        default="realign")
         _add_sampling_args(p)
         _add_model_args(p)
-        p.set_defaults(func=cmd_train if name == "train" else cmd_gst)
+        p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("correct", help="iteratively correct sentences")
     p.add_argument("--model", required=True)

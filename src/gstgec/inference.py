@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSeq
-from .labels import KEEP, Kind, LabelSequence, SENTINEL_KINDS, \
-    TransformLabel, apply_labels, format_label
+from .labels import KEEP, Kind, LabelSequence, TransformLabel, \
+    apply_labels, format_label
 from .model import GecModel, TokenDistributions
 
 
@@ -82,12 +82,8 @@ def biased_argmax(gel_row: np.ndarray, beta: float,
 
 def predict_labels(model: GecModel, dists: TokenDistributions,
                    beta: float) -> LabelSequence:
-    parsed = model.label_vocab.parsed
-    labels = [KEEP if parsed[i] is None else parsed[i]
-              for i in keep_biased_ids(dists.gel, beta).tolist()]
-    if labels and labels[0].kind not in SENTINEL_KINDS:
-        labels[0] = KEEP
-    return labels
+    return model.label_vocab.decode(
+        keep_biased_ids(dists.gel, beta).tolist())
 
 
 def correct(model: GecModel, sentence: TokenSeq,

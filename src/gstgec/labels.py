@@ -137,6 +137,15 @@ class LabelVocab:
     def encode(self, labels: LabelSequence):
         return [self.label_to_id(lab) for lab in labels]
 
+    def decode(self, ids) -> LabelSequence:
+        """Labels for one predicted id per position: the unknown label
+        keeps, and so does a sentinel label outside SENTINEL_KINDS."""
+        parsed = self.parsed
+        labels = [KEEP if parsed[i] is None else parsed[i] for i in ids]
+        if labels and labels[0].kind not in SENTINEL_KINDS:
+            labels[0] = KEEP
+        return labels
+
     @functools.cached_property
     def parsed(self) -> list[TransformLabel | None]:
         """Per-id parsed labels; None for the unknown label."""

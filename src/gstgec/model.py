@@ -35,8 +35,13 @@ class ModelConfig:
         return 4 * self.dim
 
     def __post_init__(self):
+        for name in ("dim", "heads", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass

@@ -24,8 +24,8 @@ from .corpus import SentencePair, TokenSeq, TokenVocab
 from .inference import InferenceConfig, correct_sentence, \
     keep_biased_ids, sentence_error_score
 from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
-    LabelVocab, SENTINEL_KINDS, apply_labels, binarize, extract_labels, \
-    format_label, measure_error_rate
+    LabelVocab, apply_labels, binarize, extract_labels, format_label, \
+    measure_error_rate
 from .model import AdamState, GecModel, adam_step, forward, loss_and_grads
 from .sampling import SamplingConfig, SamplingMode, relax_with_noise, \
     sample_gumbel, sample_label
@@ -52,13 +52,15 @@ class TrainingConfig:
             raise ValueError("synthesis_pairing must be realign or literal")
         if self.gamma < 0 or self.beta < 0:
             raise ValueError("gamma and beta must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        # a zero rate is a valid no-update run; NaN fails the comparison
+        if not self.lr >= 0:
+            raise ValueError("lr must be non-negative")
 
 
 @dataclass
 class TrainExample:
-    source: TokenSeq
-    target: TokenSeq
-    labels: LabelSequence
     src_ids: np.ndarray
     label_ids: np.ndarray
     det_bits: np.ndarray
@@ -81,22 +83,19 @@ class StageMetrics:
     synthetic_error_rate: float
 
 
-def prepare_example(pair: SentencePair, labels: LabelSequence,
+def prepare_example(source: TokenSeq, labels: LabelSequence,
                     token_vocab: TokenVocab,
                     label_vocab: LabelVocab) -> TrainExample:
     return TrainExample(
-        source=pair.source,
-        target=pair.target,
-        labels=labels,
-        src_ids=token_vocab.encode(pair.source),
+        src_ids=token_vocab.encode(source),
         label_ids=np.array(label_vocab.encode(labels), dtype=np.int64),
         det_bits=np.array(binarize(labels), dtype=np.int64),
     )
 
 
 def build_dataset(pairs, token_vocab, label_vocab) -> list[TrainExample]:
-    return [prepare_example(p, extract_labels(p), token_vocab, label_vocab)
-            for p in pairs]
+    return [prepare_example(p.source, extract_labels(p), token_vocab,
+                            label_vocab) for p in pairs]
 
 
 def build_vocabs(pairs, min_freq: int = 1) -> tuple[TokenVocab, LabelVocab]:
@@ -182,16 +181,12 @@ def synthesize_example(model: GecModel, pair: SentencePair,
         rows *= vocab.length_preserving_mask
     rows[0] *= vocab.sentinel_mask
     rows /= rows.sum(axis=-1, keepdims=True)
-    parsed = vocab.parsed
-    # the unknown label keeps; the random baseline ignores the masks,
-    # so its draws are checked against them here
-    sampled = [parsed[idx] for idx in _sample_ids(rows, cfg, rng)]
-    for pos, label in enumerate(sampled):
-        if label is None or (literal and label.kind not in
-                             LENGTH_PRESERVING_KINDS):
-            sampled[pos] = KEEP
-    if sampled[0].kind not in SENTINEL_KINDS:
-        sampled[0] = KEEP
+    sampled = vocab.decode(_sample_ids(rows, cfg, rng))
+    if literal:
+        # the random baseline ignores the masks, so its draws are
+        # checked against them here
+        sampled = [lab if lab.kind in LENGTH_PRESERVING_KINDS else KEEP
+                   for lab in sampled]
     synthetic_source = apply_labels(pair.source, sampled)
     if synthetic_source == pair.source:
         return SyntheticExample(pair.source, gold_labels, origin_index, stage)
@@ -219,6 +214,13 @@ def synthesize_dataset(model: GecModel, pairs, gold_labels_per_pair,
     return out
 
 
+def mean_error_rate(synthetic: list[SyntheticExample]) -> float:
+    """Mean label error rate of a synthetic set; 0.0 when it is empty."""
+    if not synthetic:
+        return 0.0
+    return float(np.mean([measure_error_rate(s.labels) for s in synthetic]))
+
+
 def evaluate_model(model: GecModel, pairs,
                    infer_cfg: InferenceConfig) -> ScoreReport:
     sources = [p.source for p in pairs]
@@ -240,7 +242,8 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
     if infer_cfg is None:
         infer_cfg = InferenceConfig(gamma=cfg.gamma, beta=cfg.beta)
     gold_labels = [extract_labels(p) for p in genuine_pairs]
-    genuine = [prepare_example(p, lab, model.token_vocab, model.label_vocab)
+    genuine = [prepare_example(p.source, lab, model.token_vocab,
+                               model.label_vocab)
                for p, lab in zip(genuine_pairs, gold_labels)]
     epoch_rng = np.random.default_rng((cfg.seed, 0xE))
     opt_state = AdamState()
@@ -248,8 +251,8 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
     metrics: list[StageMetrics] = []
     for stage in range(1, cfg.stages + 1):
         dataset = genuine + [
-            prepare_example(SentencePair(s.source, genuine_pairs[s.origin_index].target),
-                            s.labels, model.token_vocab, model.label_vocab)
+            prepare_example(s.source, s.labels, model.token_vocab,
+                            model.label_vocab)
             for s in synthetic]
         losses = [train_epoch(model, dataset, cfg, opt_state, epoch_rng)
                   for _ in range(cfg.epochs_per_stage)]
@@ -258,10 +261,9 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
             evaluation = evaluate_model(model, heldout_pairs, infer_cfg)
         synthetic = synthesize_dataset(model, genuine_pairs, gold_labels,
                                        stage, cfg, cfg.seed)
-        rate = float(np.mean([measure_error_rate(s.labels)
-                              for s in synthetic])) if synthetic else 0.0
         metrics.append(StageMetrics(stage, losses, evaluation,
-                                    len(synthetic), rate))
+                                    len(synthetic),
+                                    mean_error_rate(synthetic)))
     return model, metrics
 
 

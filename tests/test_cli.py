@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from gstgec.checkpoint import load_checkpoint
-from gstgec.cli import main
+from gstgec.cli import build_parser, main
 from gstgec.corpus import detokenize, read_labeled_tsv, read_parallel_tsv, \
     write_parallel_tsv, write_sentences
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
@@ -189,3 +191,92 @@ def test_synthesize_same_seed_identical_dumps(tmp_path):
                      "--gamma", "0.0", "--seed", "9"]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--heads", "0"],
+    ["--dim", "0", "--heads", "1"],
+    ["--max-len", "0"],
+    ["--dropout", "1.0"],
+    ["--dropout", "-0.5"],
+    ["--batch-size", "0"],
+    ["--lr", "-0.001"],
+])
+def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data)
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 *TINY_MODEL_ARGS, *flags])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--gamma", "-1"],
+    ["train", "--epochs", "0"],
+    ["train", "--batch-size", "0"],
+    ["gst", "--stages", "0"],
+    ["correct", "--max-iters", "0"],
+    ["synthesize", "--tau", "0"],
+])
+def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    if argv[0] in ("train", "gst"):
+        files = ["--data", missing, "--out", str(tmp_path / "m.gst")]
+    elif argv[0] == "correct":
+        files = ["--model", missing, "--input", missing]
+    else:
+        files = ["--model", missing, "--data", missing,
+                 "--out", str(tmp_path / "s.tsv")]
+    assert main([*argv, *files]) == 2
+
+
+def test_threads_option_is_gone(tmp_path):
+    inp = tmp_path / "in.tsv"
+    write_pairs_file(inp)
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "4", "align", "--input", str(inp),
+              "--output", str(tmp_path / "out.tsv")])
+    assert exc.value.code == 2
+
+
+def read_manifest(path):
+    return dict(line.split(" = ", 1)
+                for line in path.read_text().splitlines())
+
+
+def parsed_options(argv):
+    args = build_parser().parse_args(argv)
+    return {key: str(value) for key, value in vars(args).items()
+            if key not in ("command", "func")}
+
+
+def test_manifests_record_every_parsed_option(tmp_path):
+    data, _ = toy_training_files(tmp_path, n=10)
+    ckpt = tmp_path / "m.gst"
+    sents = tmp_path / "in.txt"
+    write_sentences([("a", "b")], sents)
+    runs = [
+        (["train", "--data", str(data), "--out", str(ckpt), "--seed", "5",
+          "--lr", "0.002", *TINY_MODEL_ARGS], ckpt),
+        (["correct", "--model", str(ckpt), "--input", str(sents),
+          "--output", str(tmp_path / "out.txt"), "--max-iters", "3"],
+         tmp_path / "out.txt"),
+        (["synthesize", "--model", str(ckpt), "--data", str(data),
+          "--out", str(tmp_path / "syn.tsv"), "--sampling", "multinomial"],
+         tmp_path / "syn.tsv"),
+    ]
+    for argv, output in runs:
+        assert main(argv) == 0
+        manifest = read_manifest(Path(str(output) + ".manifest"))
+        assert manifest.pop("command") == argv[0]
+        assert manifest.pop("version")
+        assert manifest == parsed_options(argv)
+        assert "threads" not in manifest
+    manifest = read_manifest(Path(str(ckpt) + ".manifest"))
+    assert manifest["lr"] == "0.002"
+    assert manifest["stages"] == "1"
+    _, extra = load_checkpoint(ckpt)
+    assert extra == parsed_options(runs[0][0])

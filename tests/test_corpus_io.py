@@ -172,3 +172,14 @@ def test_label_vocab_and_checkpoint_load_parse_no_label(tmp_path,
                                                      True, False, False]
     loaded.label_vocab.parsed
     assert len(calls) == len(strings) - 1 + len(loaded.label_vocab) - 1
+
+
+def test_label_vocab_decode_keeps_unknown_and_guards_sentinel():
+    vocab = LabelVocab(["$KEP", "$UNK", "$DEL", "$REP_a", "$APP_b"])
+    keep, _, dele, rep, app = vocab.parsed
+    assert vocab.decode([]) == []
+    # position 0 admits only SENTINEL_KINDS; later positions are untouched
+    assert vocab.decode([3, 1, 2, 3, 4]) == [keep, keep, dele, rep, app]
+    assert vocab.decode([2]) == [keep]
+    assert vocab.decode([4, 4]) == [app, app]
+    assert vocab.decode([1]) == [keep]

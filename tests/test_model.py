@@ -148,6 +148,39 @@ def test_gradients_match_finite_differences():
         assert max_rel_grad_error(cfg, seed) < 1e-3
 
 
+def test_dropout_gradients_match_finite_differences():
+    # every call draws from a freshly seeded generator, so the forward,
+    # +h and -h evaluations all apply the same dropout masks
+    cfg = ModelConfig(vocab_size=12, num_labels=5, dim=8, layers=1, heads=2,
+                      max_len=8, dropout=0.3, dtype="float64")
+    rng = np.random.default_rng(0)
+    params = init_params(cfg, 0)
+    ids, labels, bits = random_input(cfg, rng)
+
+    def loss_and_grads_masked():
+        return loss_and_grads(params, ids, labels, bits, cfg, train=True,
+                              drop_rng=np.random.default_rng(7))
+
+    loss, grads = loss_and_grads_masked()
+    assert loss != loss_only(params, ids, labels, bits, cfg)
+    h = 1e-4
+    worst = 0.0
+    for name, arr in params.items():
+        flat = arr.ravel()
+        g = grads[name].ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = loss_and_grads_masked()[0]
+            flat[i] = orig - h
+            lm = loss_and_grads_masked()[0]
+            flat[i] = orig
+            num = (lp - lm) / (2 * h)
+            worst = max(worst,
+                        abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6))
+    assert worst < 1e-3
+
+
 def test_training_smoke_loss_decreases():
     cfg = small_cfg(dtype="float32")
     rng = np.random.default_rng(0)
