@@ -101,6 +101,8 @@ def _training_config(args) -> TrainingConfig:
 def cmd_train(args) -> int:
     """train and gst; train is gst with a single stage."""
     cfg = _training_config(args)
+    if not 0 <= args.heldout_frac < 1:
+        raise UsageError("heldout_frac must be in [0, 1)")
     pairs = read_parallel_tsv(args.data)
     heldout = None
     if args.heldout:

@@ -26,9 +26,10 @@ class InferenceConfig:
     max_iters: int = 5
 
     def __post_init__(self):
-        if self.gamma < 0:
+        # NaN fails these comparisons: a NaN gate never stops a round
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ValueError("beta must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")

@@ -5,6 +5,11 @@ analytic gradients can be checked against central finite differences on
 a float64 path.  Blocks are pre-norm with identity residuals: zeroing
 the attention output and second feed-forward projections makes the
 encoder output exactly the token plus positional embeddings.
+
+Training runs each mini-batch as one padded (B, n, d) pass: an additive
+key-padding mask keeps padded keys out of every attention row, and
+padded positions carry zero loss weight.  Inference runs the same
+encoder as a batch of one with no mask.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ class ModelConfig:
         for name in ("dim", "heads", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.layers < 0:
+            raise ValueError("layers must be non-negative")
         if self.dim % self.heads != 0:
             raise ValueError("dim must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -121,20 +128,22 @@ def _layer_norm_bwd(dy, cache):
     return dx, dg, db
 
 
-def _attention_fwd(a, params, prefix, heads):
-    n, d = a.shape
-    dh = d // heads
+def _attention_fwd(a, params, prefix, heads, batch, key_bias):
+    rows, d = a.shape
+    n, dh = rows // batch, d // heads
     q = a @ params[prefix + "Wq"] + params[prefix + "bq"]
     k = a @ params[prefix + "Wk"] + params[prefix + "bk"]
     v = a @ params[prefix + "Wv"] + params[prefix + "bv"]
-    qh = q.reshape(n, heads, dh).transpose(1, 0, 2)
-    kh = k.reshape(n, heads, dh).transpose(1, 0, 2)
-    vh = v.reshape(n, heads, dh).transpose(1, 0, 2)
+    qh = q.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+    kh = k.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+    vh = v.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=a.dtype)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    A = _softmax(scores)
-    ctx = A @ vh  # (heads, n, dh)
-    ctxf = ctx.transpose(1, 0, 2).reshape(n, d)
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    if key_bias is not None:
+        scores += key_bias[:, None, None, :]
+    A = _softmax(scores)  # (batch, heads, n, n); 0 on padded keys
+    ctx = A @ vh
+    ctxf = ctx.transpose(0, 2, 1, 3).reshape(rows, d)
     out = ctxf @ params[prefix + "Wo"] + params[prefix + "bo"]
     cache = (a, qh, kh, vh, A, ctxf, scale)
     return out, cache
@@ -142,55 +151,88 @@ def _attention_fwd(a, params, prefix, heads):
 
 def _attention_bwd(dout, cache, params, prefix, grads):
     a, qh, kh, vh, A, ctxf, scale = cache
-    n, d = a.shape
-    heads, _, dh = qh.shape
-    grads[prefix + "Wo"] += ctxf.T @ dout
-    grads[prefix + "bo"] += dout.sum(0)
+    rows, d = a.shape
+    batch, heads, n, dh = qh.shape
+    grads[prefix + "Wo"] = ctxf.T @ dout
+    grads[prefix + "bo"] = dout.sum(0)
     dctxf = dout @ params[prefix + "Wo"].T
-    dctx = dctxf.reshape(n, heads, dh).transpose(1, 0, 2)
-    dA = dctx @ vh.transpose(0, 2, 1)
-    dvh = A.transpose(0, 2, 1) @ dctx
+    dctx = dctxf.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
+    dA = dctx @ vh.swapaxes(-1, -2)
+    dvh = A.swapaxes(-1, -2) @ dctx
     dS = A * (dA - (dA * A).sum(-1, keepdims=True))
     dqh = (dS @ kh) * scale
-    dkh = (dS.transpose(0, 2, 1) @ qh) * scale
-    dq = dqh.transpose(1, 0, 2).reshape(n, d)
-    dk = dkh.transpose(1, 0, 2).reshape(n, d)
-    dv = dvh.transpose(1, 0, 2).reshape(n, d)
+    dkh = (dS.swapaxes(-1, -2) @ qh) * scale
     da = np.zeros_like(a)
-    for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-        grads[prefix + f"W{name}"] += a.T @ dmat
-        grads[prefix + f"b{name}"] += dmat.sum(0)
+    for name, dmh in (("q", dqh), ("k", dkh), ("v", dvh)):
+        dmat = dmh.transpose(0, 2, 1, 3).reshape(rows, d)
+        grads[prefix + f"W{name}"] = a.T @ dmat
+        grads[prefix + f"b{name}"] = dmat.sum(0)
         da += dmat @ params[prefix + f"W{name}"].T
     return da
 
 
-def _encode_fwd(params, ids, cfg, train=False, drop_rng=None):
-    n = len(ids)
-    x = params["tok_emb"][ids] + params["pos_emb"][:n]
+def _dropout_mask(shape, rate, drop_rng, dtype):
+    """An inverted-dropout mask, or None when nothing is dropped."""
+    if rate == 0.0:
+        return None
+    return ((drop_rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype)
+
+
+def _encode_fwd(params, ids, cfg, key_bias=None, train=False,
+                drop_rng=None):
+    """The encoder over a padded (B, n) id batch.
+
+    Returns the output's B*n rows, the (B, n, d) batch flattened so the
+    projections run as one matrix product, and one cache per layer.
+    key_bias is the additive (B, n) key-padding mask (-inf on padded
+    keys), or None when no sentence is padded.
+    """
+    batch, n = ids.shape
+    x = (params["tok_emb"][ids] + params["pos_emb"][:n]).reshape(batch * n,
+                                                                 cfg.dim)
     rate = cfg.dropout if train else 0.0
     caches = []
     for l in range(cfg.layers):
         p = f"blk{l}."
         a, ln1 = _layer_norm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        attn, att_cache = _attention_fwd(a, params, p, cfg.heads)
-        mask_a = None
-        if rate > 0.0:
-            mask_a = (drop_rng.random(attn.shape) >= rate) / (1.0 - rate)
-            mask_a = mask_a.astype(x.dtype)
+        attn, att_cache = _attention_fwd(a, params, p, cfg.heads, batch,
+                                         key_bias)
+        mask_a = _dropout_mask(attn.shape, rate, drop_rng, x.dtype)
+        if mask_a is not None:
             attn = attn * mask_a
         x1 = x + attn
         f, ln2 = _layer_norm_fwd(x1, params[p + "ln2_g"], params[p + "ln2_b"])
         h = f @ params[p + "W1"] + params[p + "b1"]
-        r = np.maximum(h, 0)
-        o = r @ params[p + "W2"] + params[p + "b2"]
-        mask_f = None
-        if rate > 0.0:
-            mask_f = (drop_rng.random(o.shape) >= rate) / (1.0 - rate)
-            mask_f = mask_f.astype(x.dtype)
+        o = np.maximum(h, 0) @ params[p + "W2"] + params[p + "b2"]
+        mask_f = _dropout_mask(o.shape, rate, drop_rng, x.dtype)
+        if mask_f is not None:
             o = o * mask_f
         x = x1 + o
-        caches.append((ln1, att_cache, mask_a, ln2, f, h, r, mask_f))
+        caches.append((ln1, att_cache, mask_a, ln2, f, h, mask_f))
     return x, caches
+
+
+def _encode_bwd(params, dx, caches, cfg, grads):
+    """Backward through the blocks, last first, filling grads; returns
+    the gradient of the embedding sum.  Each layer's cache is dropped
+    once backward has passed it."""
+    for l in range(cfg.layers - 1, -1, -1):
+        p = f"blk{l}."
+        ln1, att_cache, mask_a, ln2, f, h, mask_f = caches.pop()
+        do = dx if mask_f is None else dx * mask_f
+        grads[p + "W2"] = np.maximum(h, 0).T @ do
+        grads[p + "b2"] = do.sum(0)
+        dh = (do @ params[p + "W2"].T) * (h > 0)
+        grads[p + "W1"] = f.T @ dh
+        grads[p + "b1"] = dh.sum(0)
+        df = dh @ params[p + "W1"].T
+        dx1, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_bwd(df, ln2)
+        dx1 += dx
+        dattn = dx1 if mask_a is None else dx1 * mask_a
+        da = _attention_bwd(dattn, att_cache, params, p, grads)
+        dxa, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_bwd(da, ln1)
+        dx = dx1 + dxa
+    return dx
 
 
 def _truncate(ids, cfg):
@@ -201,95 +243,131 @@ def _truncate(ids, cfg):
     return ids
 
 
+def _heads(params, x):
+    ged = _softmax(x @ params["ged_W"] + params["ged_b"])
+    gel = _softmax(x @ params["gel_W"] + params["gel_b"])
+    return ged, gel
+
+
 def encode(params, ids, cfg: ModelConfig) -> np.ndarray:
-    """Per-position contextual feature rows (n x dim)."""
+    """Per-position contextual feature rows (n x dim): the encoder over
+    a batch of one, with no padding."""
     ids = _truncate(np.asarray(ids), cfg)
-    x, _ = _encode_fwd(params, ids, cfg)
+    x, _ = _encode_fwd(params, ids[None], cfg)
     return x
 
 
 def forward(params, ids, cfg: ModelConfig) -> TokenDistributions:
     """Detection and labeling probability rows for one sentence."""
-    x = encode(params, ids, cfg)
-    ged = _softmax(x @ params["ged_W"] + params["ged_b"])
-    gel = _softmax(x @ params["gel_W"] + params["gel_b"])
+    ged, gel = _heads(params, encode(params, ids, cfg))
     return TokenDistributions(ged=ged, gel=gel)
 
 
+def _as_batch(seqs) -> list[np.ndarray]:
+    """A mini-batch as per-sentence arrays; a bare 1-D sequence is a
+    batch of one."""
+    if len(seqs) and np.ndim(seqs[0]) == 0:
+        return [np.asarray(seqs)]
+    return [np.asarray(s) for s in seqs]
+
+
+def _pad_batch(ids, label_ids, det_bits, cfg, dtype):
+    """Validate a mini-batch and pad it to its longest sentence.
+
+    Returns the (B, n) ids, the flat labels and detection bits, the flat
+    per-position loss weights (1/(B*n_b) on sentence b's tokens, 0 on
+    padding) and the key-padding mask for _encode_fwd.
+    """
+    ids = [_truncate(s, cfg) for s in _as_batch(ids)]
+    label_ids, det_bits = _as_batch(label_ids), _as_batch(det_bits)
+    if not ids:
+        raise ValueError("empty batch")
+    if len(label_ids) != len(ids) or len(det_bits) != len(ids):
+        raise ValueError("label/target batches must match the id batch")
+    lens = np.array([len(s) for s in ids])
+    if any(len(lab) != m or len(bit) != m
+           for lab, bit, m in zip(label_ids, det_bits, lens)):
+        raise ValueError("label/target lengths must match token count")
+    if lens.min() < 1:
+        raise ValueError("every sentence needs at least one token")
+    labels = np.concatenate(label_ids)
+    if labels.max() >= cfg.num_labels or labels.min() < 0:
+        raise ValueError("label id outside vocabulary")
+    batch, n = len(ids), int(lens.max())
+    valid = np.arange(n) < lens[:, None]
+
+    def pad(flat):
+        out = np.zeros((batch, n), dtype=np.int64)
+        out[valid] = flat
+        return out
+
+    weights = np.where(valid, 1.0 / (batch * lens[:, None]), 0.0)
+    key_bias = None
+    if lens.min() < n:
+        key_bias = np.where(valid, 0.0, -np.inf).astype(dtype)
+    return (pad(np.concatenate(ids)), pad(labels).ravel(),
+            pad(np.concatenate(det_bits)).ravel(),
+            weights.ravel().astype(dtype), key_bias)
+
+
+def _token_losses(ged_p, gel_p, label_ids, det_bits, ged_weight):
+    idx = np.arange(len(label_ids))
+    eps = np.finfo(ged_p.dtype).tiny
+    return -(ged_weight * np.log(ged_p[idx, det_bits] + eps)
+             + np.log(gel_p[idx, label_ids] + eps))
+
+
 def loss_only(params, ids, label_ids, det_bits, cfg, ged_weight=1.0) -> float:
-    """Forward-only loss value; used by the finite-difference oracle."""
-    ids = _truncate(np.asarray(ids), cfg)
-    x, _ = _encode_fwd(params, ids, cfg)
-    return float(_head_losses(params, x, label_ids, det_bits, ged_weight)[0])
-
-
-def _head_losses(params, x, label_ids, det_bits, ged_weight):
-    n = x.shape[0]
-    ged_p = _softmax(x @ params["ged_W"] + params["ged_b"])
-    gel_p = _softmax(x @ params["gel_W"] + params["gel_b"])
-    idx = np.arange(n)
-    eps = np.finfo(x.dtype).tiny
-    ce_ged = -np.log(ged_p[idx, det_bits] + eps).mean()
-    ce_gel = -np.log(gel_p[idx, label_ids] + eps).mean()
-    return ged_weight * ce_ged + ce_gel, ged_p, gel_p
+    """Forward-only loss_and_grads loss; the finite-difference oracle."""
+    dtype = params["tok_emb"].dtype
+    ids, label_ids, det_bits, weights, key_bias = _pad_batch(
+        ids, label_ids, det_bits, cfg, dtype)
+    x, _ = _encode_fwd(params, ids, cfg, key_bias)
+    ged_p, gel_p = _heads(params, x)
+    return float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits,
+                                         ged_weight))
 
 
 def loss_and_grads(params, ids, label_ids, det_bits, cfg: ModelConfig,
                    ged_weight: float = 1.0, train: bool = False,
                    drop_rng=None):
-    """Mean-per-token detection + labeling cross-entropy and its exact
-    gradient for every parameter."""
-    ids = _truncate(np.asarray(ids), cfg)
-    label_ids = np.asarray(label_ids)
-    det_bits = np.asarray(det_bits)
-    if len(label_ids) != len(ids) or len(det_bits) != len(ids):
-        raise ValueError("label/target lengths must match token count")
-    if label_ids.max(initial=0) >= cfg.num_labels or label_ids.min(initial=0) < 0:
-        raise ValueError("label id outside vocabulary")
-    n = len(ids)
-    x, caches = _encode_fwd(params, ids, cfg, train=train, drop_rng=drop_rng)
-    total, ged_p, gel_p = _head_losses(params, x, label_ids, det_bits,
-                                       ged_weight)
+    """Detection + labeling cross-entropy of a mini-batch and its exact
+    gradient for every parameter.
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
-    idx = np.arange(n)
-    dged = ged_p.copy()
-    dged[idx, det_bits] -= 1.0
-    dged *= ged_weight / n
-    dgel = gel_p.copy()
-    dgel[idx, label_ids] -= 1.0
-    dgel /= n
-    grads["ged_W"] += x.T @ dged
-    grads["ged_b"] += dged.sum(0)
-    grads["gel_W"] += x.T @ dgel
-    grads["gel_b"] += dgel.sum(0)
-    dx = dged @ params["ged_W"].T + dgel @ params["gel_W"].T
+    ids, label_ids and det_bits are sequences of per-sentence arrays (a
+    bare 1-D array is a batch of one).  The loss is the mean over
+    sentences of each sentence's mean-token loss.  The batch runs as
+    one padded encoder pass; padded positions carry zero loss weight,
+    so their gradient rows are exactly zero.
+    """
+    dtype = params["tok_emb"].dtype
+    ids, label_ids, det_bits, weights, key_bias = _pad_batch(
+        ids, label_ids, det_bits, cfg, dtype)
+    x, caches = _encode_fwd(params, ids, cfg, key_bias, train=train,
+                            drop_rng=drop_rng)
+    ged_p, gel_p = _heads(params, x)
+    total = float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits,
+                                          ged_weight))
 
-    for l in range(cfg.layers - 1, -1, -1):
-        p = f"blk{l}."
-        ln1, att_cache, mask_a, ln2, f, h, r, mask_f = caches[l]
-        do = dx if mask_f is None else dx * mask_f
-        grads[p + "W2"] += r.T @ do
-        grads[p + "b2"] += do.sum(0)
-        dr = do @ params[p + "W2"].T
-        dh = dr * (h > 0)
-        grads[p + "W1"] += f.T @ dh
-        grads[p + "b1"] += dh.sum(0)
-        df = dh @ params[p + "W1"].T
-        dx1, dg2, db2 = _layer_norm_bwd(df, ln2)
-        grads[p + "ln2_g"] += dg2
-        grads[p + "ln2_b"] += db2
-        dx1 = dx1 + dx
-        dattn = dx1 if mask_a is None else dx1 * mask_a
-        da = _attention_bwd(dattn, att_cache, params, p, grads)
-        dxa, dg1, db1 = _layer_norm_bwd(da, ln1)
-        grads[p + "ln1_g"] += dg1
-        grads[p + "ln1_b"] += db1
-        dx = dx1 + dxa
+    # the head softmaxes become the gradients of their logits in place
+    idx = np.arange(len(weights))
+    ged_p[idx, det_bits] -= 1.0
+    ged_p *= (ged_weight * weights)[:, None]
+    gel_p[idx, label_ids] -= 1.0
+    gel_p *= weights[:, None]
+    grads = {"ged_W": x.T @ ged_p, "ged_b": ged_p.sum(0),
+             "gel_W": x.T @ gel_p, "gel_b": gel_p.sum(0)}
+    dx = ged_p @ params["ged_W"].T + gel_p @ params["gel_W"].T
+    del x, ged_p, gel_p
+    dx = _encode_bwd(params, dx, caches, cfg, grads)
 
-    np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][:n] += dx
-    return float(total), grads
+    batch, n = ids.shape
+    valid = weights > 0
+    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
+    np.add.at(grads["tok_emb"], ids.ravel()[valid], dx[valid])
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
+    grads["pos_emb"][:n] = dx.reshape(batch, n, -1).sum(0)
+    return total, {name: grads[name] for name in params}
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ class TrainingConfig:
             raise ValueError("stages and epochs_per_stage must be >= 1")
         if self.synthesis_pairing not in ("realign", "literal"):
             raise ValueError("synthesis_pairing must be realign or literal")
-        if self.gamma < 0 or self.beta < 0:
+        # NaN fails the comparison: a NaN gate would never stop a round
+        if not (self.gamma >= 0 and self.beta >= 0):
             raise ValueError("gamma and beta must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -108,32 +109,21 @@ def build_vocabs(pairs, min_freq: int = 1) -> tuple[TokenVocab, LabelVocab]:
 def train_epoch(model: GecModel, examples: list[TrainExample],
                 cfg: TrainingConfig, opt_state: AdamState,
                 rng: np.random.Generator) -> float:
-    """One seeded-shuffle pass; gradients averaged over each mini-batch."""
+    """One seeded-shuffle pass, one padded encoder pass and one Adam
+    step per mini-batch; returns the mean per-sentence loss."""
     if not examples:
         raise ValueError("dataset is empty")
     order = rng.permutation(len(examples))
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
-        batch = order[start:start + cfg.batch_size]
-        acc = None
-        batch_loss = 0.0
-        for idx in batch:
-            ex = examples[idx]
-            loss, grads = loss_and_grads(
-                model.params, ex.src_ids, ex.label_ids, ex.det_bits,
-                model.cfg, ged_weight=cfg.ged_weight,
-                train=model.cfg.dropout > 0, drop_rng=rng)
-            batch_loss += loss
-            if acc is None:
-                acc = grads
-            else:
-                for name, g in grads.items():
-                    acc[name] += g
-        scale = 1.0 / len(batch)
-        for name in acc:
-            acc[name] *= scale
-        adam_step(model.params, acc, opt_state, cfg.lr)
-        total_loss += batch_loss
+        batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+        loss, grads = loss_and_grads(
+            model.params, [ex.src_ids for ex in batch],
+            [ex.label_ids for ex in batch], [ex.det_bits for ex in batch],
+            model.cfg, ged_weight=cfg.ged_weight,
+            train=model.cfg.dropout > 0, drop_rng=rng)
+        adam_step(model.params, grads, opt_state, cfg.lr)
+        total_loss += loss * len(batch)
     return total_loss / len(order)
 
 

@@ -233,6 +233,37 @@ def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     assert main([*argv, *files]) == 2
 
 
+def test_train_negative_layers_exits_2(tmp_path, capsys):
+    data, _ = toy_training_files(tmp_path, n=5)
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 *TINY_MODEL_ARGS, "--layers", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--beta"])
+def test_train_nan_gate_exits_2(tmp_path, capsys, flag):
+    data, _ = toy_training_files(tmp_path, n=5)
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 *TINY_MODEL_ARGS, flag, "nan"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gst"])
+@pytest.mark.parametrize("frac", ["-0.5", "1.0", "1.5", "nan"])
+def test_heldout_frac_out_of_range_exits_2_before_reading_inputs(
+        tmp_path, capsys, command, frac):
+    code = main([command, "--data", str(tmp_path / "missing"),
+                 "--out", str(tmp_path / "m.gst"), "--heldout-frac", frac])
+    assert code == 2
+    assert "heldout_frac" in capsys.readouterr().err
+
+
 def test_threads_option_is_gone(tmp_path):
     inp = tmp_path / "in.tsv"
     write_pairs_file(inp)

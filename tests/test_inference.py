@@ -159,6 +159,12 @@ def test_inference_config_validation():
         InferenceConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "beta"])
+def test_inference_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        InferenceConfig(**{field: float("nan")})
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
                                                      beta):

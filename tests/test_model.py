@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gstgec.errors import NonFiniteGradientError
-from gstgec.model import AdamState, ModelConfig, adam_step, encode, forward, \
-    init_params, loss_and_grads, loss_only, param_shapes
+from gstgec.model import AdamState, ModelConfig, _encode_fwd, _pad_batch, \
+    adam_step, encode, forward, init_params, loss_and_grads, loss_only, \
+    param_shapes
 
 
 def small_cfg(**kw):
@@ -249,3 +250,223 @@ def test_param_shapes_cover_params():
     assert list(params) == list(shapes)
     for name, shape in shapes.items():
         assert params[name].shape == shape
+
+
+# ---------------------------------------------------------------------------
+# Batched training path
+# ---------------------------------------------------------------------------
+
+
+def batch_cfg(**kw):
+    base = dict(vocab_size=12, num_labels=5, dim=8, layers=1, heads=2,
+                max_len=8, dtype="float64")
+    base.update(kw)
+    return ModelConfig(**base)
+
+
+def random_batch(cfg, rng, lengths):
+    ids = [rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
+    labels = [rng.integers(0, cfg.num_labels, size=n) for n in lengths]
+    bits = [rng.integers(0, 2, size=n) for n in lengths]
+    return ids, labels, bits
+
+
+def worst_fd_error(params, grads, loss_fn):
+    """Worst relative error of grads against central differences of
+    loss_fn; a coordinate whose +-1e-4 step straddles a ReLU kink is
+    re-checked at step 1e-5, as in acceptance gate 3."""
+    def central(flat, i, h):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp = loss_fn()
+        flat[i] = orig - h
+        lm = loss_fn()
+        flat[i] = orig
+        return (lp - lm) / (2 * h)
+
+    worst = 0.0
+    for name, arr in params.items():
+        flat = arr.ravel()
+        g = grads[name].ravel()
+        for i in range(flat.size):
+            rel = 1.0
+            for h in (1e-4, 1e-5):
+                num = central(flat, i, h)
+                rel = abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6)
+                if rel < 1e-3:
+                    break
+            worst = max(worst, rel)
+    return worst
+
+
+def test_padded_batch_gradients_match_finite_differences():
+    # the oracle is the mean of unpadded per-sentence losses, so a mask
+    # that leaked padding into any sentence would fail here too
+    cfg = batch_cfg(layers=2)
+    rng = np.random.default_rng(3)
+    params = init_params(cfg, 3)
+    ids, labels, bits = random_batch(cfg, rng, (2, 6, 4))
+    _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+
+    def mean_loss():
+        return np.mean([loss_only(params, *ex, cfg)
+                        for ex in zip(ids, labels, bits)])
+
+    assert worst_fd_error(params, grads, mean_loss) < 1e-3
+
+
+def test_padded_batch_dropout_gradients_match_finite_differences():
+    cfg = batch_cfg(dropout=0.3)
+    rng = np.random.default_rng(4)
+    params = init_params(cfg, 4)
+    ids, labels, bits = random_batch(cfg, rng, (5, 2, 3))
+
+    def masked():
+        return loss_and_grads(params, ids, labels, bits, cfg, train=True,
+                              drop_rng=np.random.default_rng(7))
+
+    loss, grads = masked()
+    assert loss != loss_and_grads(params, ids, labels, bits, cfg)[0]
+    assert worst_fd_error(params, grads, lambda: masked()[0]) < 1e-3
+
+
+def test_batch_gradients_are_the_mean_of_sentence_gradients():
+    cfg = small_cfg()
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, 5)
+    ids, labels, bits = random_batch(cfg, rng, (7, 1, 4, 7, 3))
+    loss, grads = loss_and_grads(params, ids, labels, bits, cfg,
+                                 ged_weight=0.7)
+    singles = [loss_and_grads(params, *ex, cfg, ged_weight=0.7)
+               for ex in zip(ids, labels, bits)]
+    assert loss == pytest.approx(np.mean([s[0] for s in singles]),
+                                 rel=0, abs=1e-10)
+    assert list(grads) == list(params)
+    for name, g in grads.items():
+        mean = np.mean([s[1][name] for s in singles], axis=0)
+        np.testing.assert_allclose(g, mean, rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
+def test_padded_positions_get_no_gradient():
+    cfg = small_cfg()
+    params = init_params(cfg, 6)
+    # padding uses id 0, which no sentence holds; only the long sentence
+    # reaches positions 2..5
+    ids = [np.array([1, 2]), np.array([3, 4, 5, 6, 7, 8])]
+    labels = [np.array([0, 1]), np.array([2, 3, 4, 5, 6, 0])]
+    bits = [np.array([0, 1]), np.array([1, 0, 1, 0, 1, 0])]
+    _, batch = loss_and_grads(params, ids, labels, bits, cfg)
+    _, long_only = loss_and_grads(params, ids[1], labels[1], bits[1], cfg)
+    assert not batch["tok_emb"][0].any()
+    assert not batch["pos_emb"][6:].any()
+    np.testing.assert_allclose(batch["pos_emb"][2:6],
+                               0.5 * long_only["pos_emb"][2:6],
+                               rtol=0, atol=1e-12)
+
+
+def encoded_rows(params, batch, cfg):
+    """Each sentence's valid rows of one padded encoder pass."""
+    zeros = [np.zeros(len(s), dtype=np.int64) for s in batch]
+    ids, _, _, _, key_bias = _pad_batch(batch, zeros, zeros, cfg,
+                                        np.dtype(cfg.dtype))
+    x, _ = _encode_fwd(params, ids, cfg, key_bias)
+    x = x.reshape(*ids.shape, cfg.dim)
+    return [x[b, :len(s)] for b, s in enumerate(batch)]
+
+
+def test_longer_sentence_leaves_other_rows_unchanged():
+    cfg = small_cfg(max_len=32)
+    params = init_params(cfg, 7)
+    rng = np.random.default_rng(7)
+    batch = [rng.integers(0, cfg.vocab_size, size=n) for n in (3, 5, 4)]
+    longer = rng.integers(0, cfg.vocab_size, size=20)
+    before = encoded_rows(params, batch, cfg)
+    after = encoded_rows(params, batch + [longer], cfg)
+    for sentence, a, b in zip(batch, before, after):
+        # padding only reorders float sums; unmasked keys would move
+        # these rows by orders of magnitude more
+        np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a, encode(params, sentence, cfg),
+                                   rtol=0, atol=1e-12)
+
+
+def reference_encode(params, ids, cfg):
+    """The per-sentence encoder that the batched one replaced, kept
+    verbatim (without dropout) as the bitwise reference."""
+    def softmax(x):
+        z = x - x.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    def layer_norm(x, g, b):
+        mu = x.mean(-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        return g * (xc * inv) + b
+
+    def attention(a, prefix):
+        n, d = a.shape
+        dh = d // cfg.heads
+        q = a @ params[prefix + "Wq"] + params[prefix + "bq"]
+        k = a @ params[prefix + "Wk"] + params[prefix + "bk"]
+        v = a @ params[prefix + "Wv"] + params[prefix + "bv"]
+        qh = q.reshape(n, cfg.heads, dh).transpose(1, 0, 2)
+        kh = k.reshape(n, cfg.heads, dh).transpose(1, 0, 2)
+        vh = v.reshape(n, cfg.heads, dh).transpose(1, 0, 2)
+        scale = np.asarray(1.0 / np.sqrt(dh), dtype=a.dtype)
+        A = softmax((qh @ kh.transpose(0, 2, 1)) * scale)
+        ctxf = (A @ vh).transpose(1, 0, 2).reshape(n, d)
+        return ctxf @ params[prefix + "Wo"] + params[prefix + "bo"]
+
+    n = len(ids)
+    x = params["tok_emb"][ids] + params["pos_emb"][:n]
+    for l in range(cfg.layers):
+        p = f"blk{l}."
+        a = layer_norm(x, params[p + "ln1_g"], params[p + "ln1_b"])
+        x1 = x + attention(a, p)
+        f = layer_norm(x1, params[p + "ln2_g"], params[p + "ln2_b"])
+        r = np.maximum(f @ params[p + "W1"] + params[p + "b1"], 0)
+        x = x1 + (r @ params[p + "W2"] + params[p + "b2"])
+    ged = softmax(x @ params["ged_W"] + params["ged_b"])
+    gel = softmax(x @ params["gel_W"] + params["gel_b"])
+    return x, ged, gel
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_single_sentence_is_bitwise_the_reference_encoder(dtype):
+    cfg = small_cfg(dim=32, heads=4, max_len=40, dtype=dtype)
+    params = init_params(cfg, 8)
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 16, 40):
+        ids = rng.integers(0, cfg.vocab_size, size=n)
+        x, ged, gel = reference_encode(params, ids, cfg)
+        d = forward(params, ids, cfg)
+        assert encode(params, ids, cfg).tobytes() == x.tobytes()
+        assert d.ged.tobytes() == ged.tobytes()
+        assert d.gel.tobytes() == gel.tobytes()
+
+
+def test_batch_rejects_mismatched_and_empty_input():
+    cfg = small_cfg()
+    params = init_params(cfg, 0)
+    ids = [np.array([1, 2]), np.array([3])]
+    with pytest.raises(ValueError):
+        loss_and_grads(params, ids, [np.array([0, 1])],
+                       [np.array([0, 1]), np.array([0])], cfg)
+    with pytest.raises(ValueError):
+        loss_and_grads(params, ids, [np.array([0, 1]), np.array([0, 1])],
+                       [np.array([0, 1]), np.array([0])], cfg)
+    with pytest.raises(ValueError):
+        loss_and_grads(params, [np.array([1]), np.array([], dtype=int)],
+                       [np.array([0]), np.array([], dtype=int)],
+                       [np.array([0]), np.array([], dtype=int)], cfg)
+    with pytest.raises(ValueError):
+        loss_and_grads(params, [], [], [], cfg)
+
+
+def test_negative_layers_rejected():
+    with pytest.raises(ValueError):
+        small_cfg(layers=-1)
+    assert small_cfg(layers=0).layers == 0

@@ -6,7 +6,8 @@ from gstgec.corruption import ALL_RULES, corrupt_corpus, corrupt_sentence, \
     generate_clean_corpus
 from gstgec.labels import Kind, correct_iteratively, extract_labels, \
     measure_error_rate
-from gstgec.model import AdamState, GecModel
+from gstgec import training
+from gstgec.model import AdamState, GecModel, loss_only
 from gstgec.sampling import SamplingConfig, SamplingMode
 from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
     metrics_csv, run_gst, synthesize_dataset, synthesize_example, train_epoch
@@ -217,6 +218,41 @@ def test_training_config_validation():
         TrainingConfig(synthesis_pairing="bogus")
     with pytest.raises(ValueError):
         TrainingConfig(gamma=-1.0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "beta"])
+def test_training_config_rejects_nan_gate(field):
+    with pytest.raises(ValueError):
+        TrainingConfig(**{field: float("nan")})
+
+
+@pytest.mark.parametrize("n,batch_size", [(10, 4), (12, 4), (5, 16), (7, 1)])
+def test_train_epoch_one_loss_call_per_batch(monkeypatch, n, batch_size):
+    pairs, model = small_run_setup(n=n)
+    examples = build_dataset(pairs, model.token_vocab, model.label_vocab)
+    calls = []
+    inner = training.loss_and_grads
+
+    def counting(params, ids, *args, **kwargs):
+        calls.append(len(ids))
+        return inner(params, ids, *args, **kwargs)
+
+    monkeypatch.setattr(training, "loss_and_grads", counting)
+    train_epoch(model, examples, TrainingConfig(batch_size=batch_size),
+                AdamState(), np.random.default_rng(0))
+    assert len(calls) == -(-len(examples) // batch_size)
+    assert sum(calls) == len(examples)
+
+
+def test_train_epoch_returns_mean_sentence_loss():
+    pairs, model = small_run_setup(n=9)
+    examples = build_dataset(pairs, model.token_vocab, model.label_vocab)
+    before = [loss_only(model.params, ex.src_ids, ex.label_ids,
+                        ex.det_bits, model.cfg) for ex in examples]
+    # lr 0 leaves the weights alone, so every batch sees the same model
+    loss = train_epoch(model, examples, TrainingConfig(lr=0.0, batch_size=4),
+                       AdamState(), np.random.default_rng(0))
+    assert loss == pytest.approx(np.mean(before), rel=1e-5)
 
 
 def test_corrupt_rate_zero_identity():
