@@ -3,7 +3,8 @@
 Layout: magic bytes ``GST1``, a little-endian u32 byte length, a UTF-8
 JSON config document (model hyperparameters, token vocabulary, label
 vocabulary, and any extra run settings), then the weight arrays as flat
-little-endian float32 in declared parameter order.
+little-endian floats of the model's dtype (float32 or float64) in
+declared parameter order.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
         fh.write(MAGIC)
         fh.write(np.uint32(len(blob)).astype("<u4").tobytes())
         fh.write(blob)
+        stored = np.dtype(model.cfg.dtype).newbyteorder("<")
         for name in param_shapes(model.cfg):
             fh.write(np.ascontiguousarray(
-                model.params[name], dtype="<f4").tobytes())
+                model.params[name], dtype=stored).tobytes())
 
 
 def load_checkpoint(path) -> tuple[GecModel, dict]:
@@ -66,17 +68,16 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     if cfg.vocab_size != len(token_vocab) or cfg.num_labels != len(label_vocab):
         raise CheckpointFormatError("config shapes disagree with vocabularies")
 
-    shapes = param_shapes(cfg)
+    stored = np.dtype(cfg.dtype).newbyteorder("<")
     offset = 8 + blob_len
     params = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        nbytes = 4 * count
+    for name, shape in param_shapes(cfg).items():
+        nbytes = stored.itemsize * int(np.prod(shape))
         if offset + nbytes > len(data):
             raise TruncatedCheckpointError(
                 f"file ends inside weight array {name!r}")
         params[name] = np.frombuffer(
-            data[offset:offset + nbytes], dtype="<f4").reshape(shape).astype(
+            data[offset:offset + nbytes], dtype=stored).reshape(shape).astype(
                 cfg.dtype)
         offset += nbytes
     if offset != len(data):

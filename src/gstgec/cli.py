@@ -7,7 +7,8 @@ from the same manifest reproduces the outputs bit-exactly.  Settings
 are checked by the config dataclasses, which each subcommand builds
 before it reads any input.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint),
+2 usage or config error (a bad flag or an out-of-range setting).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import detokenize, read_parallel_tsv, read_sentences, \
     write_labeled_tsv
-from .errors import GstError
+from .errors import ConfigError, GstError, ParseError
 from .inference import InferenceConfig, correct
 from .labels import extract_labels, format_label
 from .model import GecModel
@@ -30,10 +31,6 @@ from .sampling import SamplingConfig, SamplingMode
 from .scoring import score_corpus
 from .training import TrainingConfig, build_vocabs, mean_error_rate, \
     metrics_csv, run_gst, synthesize_dataset, synthetic_tsv_rows
-
-
-class UsageError(GstError):
-    pass
 
 
 def _settings(args) -> dict[str, str]:
@@ -55,6 +52,8 @@ def _write_manifest(output, args) -> None:
 
 
 def _add_sampling_args(p):
+    p.add_argument("--pairing", choices=("realign", "literal"),
+                   default="realign")
     p.add_argument("--gamma", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--tau", type=float, default=1.0)
@@ -98,12 +97,21 @@ def _training_config(args) -> TrainingConfig:
         synthesis_pairing=args.pairing, seed=args.seed, **train)
 
 
+def _read_pairs(path) -> list:
+    """The sentence pairs of a --data file, which must hold at least
+    one."""
+    pairs = read_parallel_tsv(path)
+    if not pairs:
+        raise ParseError("no sentence pairs", path=path)
+    return pairs
+
+
 def cmd_train(args) -> int:
     """train and gst; train is gst with a single stage."""
     cfg = _training_config(args)
     if not 0 <= args.heldout_frac < 1:
-        raise UsageError("heldout_frac must be in [0, 1)")
-    pairs = read_parallel_tsv(args.data)
+        raise ConfigError("heldout_frac must be in [0, 1)")
+    pairs = _read_pairs(args.data)
     heldout = None
     if args.heldout:
         heldout = read_parallel_tsv(args.heldout)
@@ -114,7 +122,8 @@ def cmd_train(args) -> int:
         heldout = [pairs[i] for i in order[:cut]]
         pairs = [pairs[i] for i in order[cut:]]
     if not pairs:
-        raise UsageError("no training pairs left after the held-out split")
+        raise ParseError("no training pairs left after the held-out split",
+                         path=args.data)
 
     token_vocab, label_vocab = build_vocabs(pairs)
     model = GecModel.create(
@@ -170,7 +179,7 @@ def cmd_evaluate(args) -> int:
 def cmd_synthesize(args) -> int:
     cfg = _training_config(args)
     model, _ = load_checkpoint(args.model)
-    pairs = read_parallel_tsv(args.data)
+    pairs = _read_pairs(args.data)
     gold = [extract_labels(p) for p in pairs]
     synthetic = synthesize_dataset(model, pairs, gold, stage=0, cfg=cfg,
                                    base_seed=args.seed)
@@ -206,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(stages=1)
         p.add_argument("--heldout", default="")
         p.add_argument("--heldout-frac", type=float, default=0.0)
-        p.add_argument("--pairing", choices=("realign", "literal"),
-                       default="realign")
         _add_sampling_args(p)
         _add_model_args(p)
         p.set_defaults(func=cmd_train)
@@ -233,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--pairing", choices=("realign", "literal"),
-                   default="realign")
     _add_sampling_args(p)
     p.set_defaults(func=cmd_synthesize)
     return parser
@@ -245,15 +250,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except (GstError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GstError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

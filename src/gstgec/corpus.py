@@ -32,16 +32,6 @@ def detokenize(tokens: TokenSeq) -> str:
     return " ".join(body)
 
 
-def validate_tokens(tokens: TokenSeq) -> TokenSeq:
-    """Check the TokenSeq invariants, returning the input unchanged."""
-    if not tokens or tokens[0] != SENTINEL:
-        raise ValueError("token sequence must start with the sentinel")
-    for tok in tokens:
-        if not tok or any(c.isspace() for c in tok):
-            raise ValueError(f"invalid token: {tok!r}")
-    return tokens
-
-
 @dataclass(frozen=True)
 class SentencePair:
     """An errorful source sentence and its corrected target."""
@@ -50,9 +40,9 @@ class SentencePair:
     target: TokenSeq
 
 
-def read_parallel_tsv(path) -> list[SentencePair]:
-    """Read "source<TAB>target" pairs, one per non-empty line."""
-    pairs = []
+def _tsv_rows(path):
+    """Yield (line number, left, right) for each non-empty line of a
+    two-column TSV file."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -62,9 +52,14 @@ def read_parallel_tsv(path) -> list[SentencePair]:
                 raise ParseError(
                     f"expected exactly one tab, found {line.count(chr(9))}",
                     path=path, line=lineno)
-            src, tgt = line.split("\t")
-            pairs.append(SentencePair(tokenize(src), tokenize(tgt)))
-    return pairs
+            left, right = line.split("\t")
+            yield lineno, left, right
+
+
+def read_parallel_tsv(path) -> list[SentencePair]:
+    """Read "source<TAB>target" pairs, one per non-empty line."""
+    return [SentencePair(tokenize(src), tokenize(tgt))
+            for _, src, tgt in _tsv_rows(path)]
 
 
 def write_parallel_tsv(pairs: list[SentencePair], path) -> None:
@@ -76,23 +71,14 @@ def write_parallel_tsv(pairs: list[SentencePair], path) -> None:
 def read_labeled_tsv(path) -> list[tuple[TokenSeq, list[str]]]:
     """Read the labeled-dataset cache: "source<TAB>space-joined labels"."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.count("\t") != 1:
-                raise ParseError(
-                    f"expected exactly one tab, found {line.count(chr(9))}",
-                    path=path, line=lineno)
-            src, labels = line.split("\t")
-            tokens = tokenize(src)
-            label_strs = labels.split()
-            if len(label_strs) != len(tokens):
-                raise ParseError(
-                    f"{len(label_strs)} labels for {len(tokens)} tokens",
-                    path=path, line=lineno)
-            rows.append((tokens, label_strs))
+    for lineno, src, labels in _tsv_rows(path):
+        tokens = tokenize(src)
+        label_strs = labels.split()
+        if len(label_strs) != len(tokens):
+            raise ParseError(
+                f"{len(label_strs)} labels for {len(tokens)} tokens",
+                path=path, line=lineno)
+        rows.append((tokens, label_strs))
     return rows
 
 

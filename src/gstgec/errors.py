@@ -5,8 +5,12 @@ class GstError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(GstError, ValueError):
+    """A setting is out of range: the user's mistake, not a data fault."""
+
+
 class ParseError(GstError):
-    """A corpus file line could not be parsed."""
+    """A corpus file is malformed or holds no data."""
 
     def __init__(self, message, path=None, line=None):
         self.path = path

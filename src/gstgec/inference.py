@@ -14,9 +14,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import TokenSeq
+from .errors import ConfigError
 from .labels import KEEP, Kind, LabelSequence, TransformLabel, \
     apply_labels, format_label
 from .model import GecModel, TokenDistributions
+
+
+def check_gate(gamma: float, beta: float) -> None:
+    """Reject a negative or NaN sentence gate or keep bias."""
+    # NaN fails the comparison: a NaN gate never stops a round
+    for name, value in (("gamma", gamma), ("beta", beta)):
+        if not value >= 0:
+            raise ConfigError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -26,13 +35,9 @@ class InferenceConfig:
     max_iters: int = 5
 
     def __post_init__(self):
-        # NaN fails these comparisons: a NaN gate never stops a round
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be non-negative")
-        if not self.beta >= 0:
-            raise ValueError("beta must be non-negative")
+        check_gate(self.gamma, self.beta)
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigError("max_iters must be at least 1")
 
 
 @dataclass

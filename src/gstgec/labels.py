@@ -353,17 +353,16 @@ def apply_labels(src: TokenSeq, labels: LabelSequence) -> TokenSeq:
     return apply_labels_with_warnings(src, labels)[0]
 
 
-def correct_iteratively(src: TokenSeq, tgt: TokenSeq,
-                        max_rounds: int | None = None) -> tuple[TokenSeq, int]:
+def correct_iteratively(src: TokenSeq,
+                        tgt: TokenSeq) -> tuple[TokenSeq, int]:
     """Repeat extract/apply against a fixed target until it is reached.
 
-    Returns (final sentence, rounds used).  The round bound defaults to
-    max(5, edit distance), which suffices because every pass realizes
+    Returns (final sentence, rounds used).  At most max(5, edit
+    distance) rounds run, which suffices because every pass realizes
     all edits except deferred insertions, of which there are at most one
     fewer each round.
     """
-    if max_rounds is None:
-        max_rounds = max(5, edit_distance(src, tgt))
+    max_rounds = max(5, edit_distance(src, tgt))
     cur = src
     for rounds in range(max_rounds + 1):
         if cur == tgt:

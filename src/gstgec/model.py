@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteGradientError
+from .errors import ConfigError, NonFiniteGradientError
 
 LN_EPS = 1e-5
 
@@ -42,13 +42,15 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("dim", "heads", "max_len"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise ConfigError(f"{name} must be at least 1")
         if self.layers < 0:
-            raise ValueError("layers must be non-negative")
+            raise ConfigError("layers must be non-negative")
         if self.dim % self.heads != 0:
-            raise ValueError("dim must be divisible by heads")
+            raise ConfigError("dim must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ConfigError("dropout must be in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError("dtype must be float32 or float64")
 
 
 @dataclass

@@ -18,6 +18,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ConfigError
+
 U_EPS = 1e-12
 
 
@@ -35,7 +37,7 @@ class SamplingConfig:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise ConfigError("tau must be positive")
 
 
 def sample_gumbel(count, rng: np.random.Generator) -> np.ndarray:
@@ -45,14 +47,19 @@ def sample_gumbel(count, rng: np.random.Generator) -> np.ndarray:
     return -np.log(-np.log(u))
 
 
-def _log_probs(probs) -> np.ndarray:
+def _normalized(probs) -> np.ndarray:
+    """Rows of (..., V) validated and scaled to sum to one."""
     p = np.asarray(probs, dtype=np.float64)
     if np.any(p < 0) or not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite and non-negative")
     total = p.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("probabilities sum to zero")
-    p = p / total
+    return p / total
+
+
+def _log_probs(probs) -> np.ndarray:
+    p = _normalized(probs)
     with np.errstate(divide="ignore"):
         return np.where(p > 0, np.log(p), -np.inf)
 
@@ -84,15 +91,9 @@ def gumbel_softmax(probs, tau: float, rng: np.random.Generator) -> np.ndarray:
 
 def multinomial(probs, rng: np.random.Generator) -> int:
     """Inverse-CDF categorical draw."""
-    p = np.asarray(probs, dtype=np.float64)
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("probabilities must be finite and non-negative")
-    total = p.sum()
-    if total <= 0:
-        raise ValueError("probabilities sum to zero")
-    cdf = np.cumsum(p / total)
+    cdf = np.cumsum(_normalized(probs))
     return int(np.searchsorted(cdf, rng.random(), side="right").clip(
-        0, len(p) - 1))
+        0, len(cdf) - 1))
 
 
 def sample_label(probs, config: SamplingConfig,

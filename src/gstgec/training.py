@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SentencePair, TokenSeq, TokenVocab
-from .inference import InferenceConfig, correct_sentence, \
+from .errors import ConfigError
+from .inference import InferenceConfig, check_gate, correct_sentence, \
     keep_biased_ids, sentence_error_score
 from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
     LabelVocab, apply_labels, binarize, extract_labels, format_label, \
     measure_error_rate
-from .model import AdamState, GecModel, adam_step, forward, loss_and_grads
+from .model import AdamState, GecModel, adam_step, loss_and_grads
 from .sampling import SamplingConfig, SamplingMode, relax_with_noise, \
     sample_gumbel, sample_label
 from .scoring import ScoreReport, score_corpus
@@ -43,21 +44,18 @@ class TrainingConfig:
     lr: float = 1e-3
     batch_size: int = 16
     seed: int = 0
-    ged_weight: float = 1.0
 
     def __post_init__(self):
         if self.stages < 1 or self.epochs_per_stage < 1:
-            raise ValueError("stages and epochs_per_stage must be >= 1")
+            raise ConfigError("stages and epochs_per_stage must be >= 1")
         if self.synthesis_pairing not in ("realign", "literal"):
-            raise ValueError("synthesis_pairing must be realign or literal")
-        # NaN fails the comparison: a NaN gate would never stop a round
-        if not (self.gamma >= 0 and self.beta >= 0):
-            raise ValueError("gamma and beta must be non-negative")
+            raise ConfigError("synthesis_pairing must be realign or literal")
+        check_gate(self.gamma, self.beta)
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ConfigError("batch_size must be at least 1")
         # a zero rate is a valid no-update run; NaN fails the comparison
         if not self.lr >= 0:
-            raise ValueError("lr must be non-negative")
+            raise ConfigError("lr must be non-negative")
 
 
 @dataclass
@@ -99,9 +97,9 @@ def build_dataset(pairs, token_vocab, label_vocab) -> list[TrainExample]:
                             label_vocab) for p in pairs]
 
 
-def build_vocabs(pairs, min_freq: int = 1) -> tuple[TokenVocab, LabelVocab]:
+def build_vocabs(pairs) -> tuple[TokenVocab, LabelVocab]:
     sentences = [p.source for p in pairs] + [p.target for p in pairs]
-    token_vocab = TokenVocab.build(sentences, min_freq=min_freq)
+    token_vocab = TokenVocab.build(sentences)
     label_vocab = LabelVocab.build(extract_labels(p) for p in pairs)
     return token_vocab, label_vocab
 
@@ -120,8 +118,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
         loss, grads = loss_and_grads(
             model.params, [ex.src_ids for ex in batch],
             [ex.label_ids for ex in batch], [ex.det_bits for ex in batch],
-            model.cfg, ged_weight=cfg.ged_weight,
-            train=model.cfg.dropout > 0, drop_rng=rng)
+            model.cfg, train=model.cfg.dropout > 0, drop_rng=rng)
         adam_step(model.params, grads, opt_state, cfg.lr)
         total_loss += loss * len(batch)
     return total_loss / len(order)
@@ -160,8 +157,7 @@ def synthesize_example(model: GecModel, pair: SentencePair,
     the source unchanged reuses them instead of aligning again, and
     literal pairing keeps them for every sample.
     """
-    dists = forward(model.params, model.token_vocab.encode(pair.source),
-                    model.cfg)
+    dists = model.forward_tokens(pair.source)
     if sentence_error_score(dists) <= cfg.gamma:
         return None
     vocab = model.label_vocab

@@ -3,12 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gstgec.checkpoint import load_checkpoint
+from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.cli import build_parser, main
-from gstgec.corpus import detokenize, read_labeled_tsv, read_parallel_tsv, \
-    write_parallel_tsv, write_sentences
+from gstgec.corpus import SENTINEL, TokenVocab, detokenize, \
+    read_labeled_tsv, read_parallel_tsv, write_parallel_tsv, write_sentences
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
-from gstgec.labels import correct_iteratively, parse_label
+from gstgec.labels import LabelVocab, correct_iteratively, parse_label
+from gstgec.model import GecModel
 
 PAIR_LINES = [
     "He go to school\tHe goes to school",
@@ -165,7 +166,7 @@ def test_evaluate_length_mismatch_exits_1(tmp_path):
     write_sentences([("a",), ("b",)], srcs)
     write_sentences([("a",)], refs)
     assert main(["evaluate", "--sources", str(srcs),
-                 "--hypotheses", str(refs), "--references", str(refs)]) == 2
+                 "--hypotheses", str(refs), "--references", str(refs)]) == 1
 
 
 def test_synthesize_beta_dominance_copies_sources(tmp_path):
@@ -311,3 +312,41 @@ def test_manifests_record_every_parsed_option(tmp_path):
     assert manifest["stages"] == "1"
     _, extra = load_checkpoint(ckpt)
     assert extra == parsed_options(runs[0][0])
+
+
+def test_unparseable_checkpoint_label_exits_1(tmp_path, capsys):
+    # a data fault in the checkpoint, not a usage error
+    model = GecModel.create(TokenVocab(["$UNK", SENTINEL, "a"]),
+                            LabelVocab(["$KEP", "$UNK", "$BOGUS"]), seed=0,
+                            dim=8, layers=1, heads=2, max_len=8)
+    ckpt = tmp_path / "bogus.gst"
+    save_checkpoint(model, ckpt)
+    inp = tmp_path / "in.txt"
+    write_sentences([(SENTINEL, "a")], inp)
+    assert main(["correct", "--model", str(ckpt), "--input", str(inp)]) == 1
+    assert "$BOGUS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "gst", "synthesize"])
+def test_empty_data_file_exits_1_naming_it(tmp_path, capsys, command):
+    data = tmp_path / "empty.tsv"
+    data.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "synthesize":
+        ckpt, _ = trained_checkpoint(tmp_path)
+        argv = ["synthesize", "--model", str(ckpt)]
+    else:
+        argv = [command, *TINY_MODEL_ARGS]
+    assert main([*argv, "--data", str(data), "--out", str(out)]) == 1
+    assert str(data) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_pair_left_to_the_heldout_split_exits_1(tmp_path, capsys):
+    data = tmp_path / "one.tsv"
+    write_pairs_file(data, PAIR_LINES[:1])
+    code = main(["train", "--data", str(data), "--out",
+                 str(tmp_path / "m.gst"), "--heldout-frac", "0.5",
+                 *TINY_MODEL_ARGS])
+    assert code == 1
+    assert "held-out split" in capsys.readouterr().err

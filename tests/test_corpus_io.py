@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,11 +7,14 @@ from hypothesis import strategies as st
 
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
-    read_parallel_tsv, tokenize, validate_tokens, write_parallel_tsv
-from gstgec.errors import BadMagicError, CheckpointFormatError, ParseError, \
-    TruncatedCheckpointError
+    read_parallel_tsv, tokenize, write_parallel_tsv
+from gstgec.errors import BadMagicError, CheckpointFormatError, \
+    ConfigError, ParseError, TruncatedCheckpointError
 from gstgec.labels import LabelVocab
-from gstgec.model import GecModel
+from gstgec.model import GecModel, ModelConfig
+
+COMMITTED_CHECKPOINT = (Path(__file__).resolve().parent.parent / "perfbench"
+                        / "correct_model.gst")
 
 
 def test_tokenize_basic():
@@ -30,13 +35,6 @@ def test_tokenize_collapses_whitespace_runs():
 def test_tokenize_detokenize_round_trip(words):
     text = " ".join(words)
     assert detokenize(tokenize(text)) == " ".join(text.split())
-
-
-def test_validate_tokens_rejects_missing_sentinel():
-    with pytest.raises(ValueError):
-        validate_tokens(("a", "b"))
-    with pytest.raises(ValueError):
-        validate_tokens((SENTINEL, "a b"))
 
 
 def test_parallel_tsv_round_trip(tmp_path):
@@ -101,6 +99,33 @@ def test_checkpoint_round_trip_many_random_models(tmp_path):
         loaded, _ = load_checkpoint(path)
         for name, arr in model.params.items():
             assert arr.tobytes() == loaded.params[name].tobytes()
+
+
+def test_checkpoint_float64_round_trip_is_bitwise(tmp_path):
+    token_vocab = TokenVocab(["$UNK", SENTINEL, "a", "b", "c"])
+    label_vocab = LabelVocab(["$KEP", "$UNK", "$DEL", "$REP_a"])
+    model = GecModel.create(token_vocab, label_vocab, seed=5, dim=8,
+                            layers=1, heads=2, max_len=8, dtype="float64")
+    path = tmp_path / "model.gst"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.cfg.dtype == "float64"
+    for name, arr in model.params.items():
+        assert loaded.params[name].dtype == np.float64
+        assert arr.tobytes() == loaded.params[name].tobytes(), name
+
+
+def test_model_config_rejects_other_dtypes():
+    for dtype in ("int8", "float16"):
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_size=3, num_labels=2, dtype=dtype)
+
+
+def test_committed_checkpoint_resaves_byte_for_byte(tmp_path):
+    model, extra = load_checkpoint(COMMITTED_CHECKPOINT)
+    path = tmp_path / "resaved.gst"
+    save_checkpoint(model, path, extra=extra)
+    assert path.read_bytes() == COMMITTED_CHECKPOINT.read_bytes()
 
 
 def test_checkpoint_bad_magic(tmp_path):
