@@ -20,7 +20,7 @@ from .labels import Kind, LabelSequence, LabelVocab, TransformLabel, \
     measure_error_rate, parse_label
 from .model import GecModel, ModelConfig, TokenDistributions
 from .sampling import SamplingConfig, SamplingMode, gumbel_max, \
-    gumbel_softmax, sample_gumbel, sample_label
+    gumbel_softmax, sample_gumbel, sample_ids, sample_label
 from .scoring import ScoreReport, extract_edits, f_beta, score_corpus
 from .training import TrainingConfig, run_gst, synthesize_example
 
@@ -32,7 +32,8 @@ __all__ = [
     "TransformLabel", "apply_labels", "binarize", "extract_labels",
     "format_label", "measure_error_rate", "parse_label", "GecModel",
     "ModelConfig", "TokenDistributions", "SamplingConfig", "SamplingMode",
-    "gumbel_max", "gumbel_softmax", "sample_gumbel", "sample_label",
+    "gumbel_max", "gumbel_softmax", "sample_gumbel", "sample_ids",
+    "sample_label",
     "ScoreReport", "extract_edits", "f_beta", "score_corpus",
     "TrainingConfig", "run_gst", "synthesize_example",
 ]

@@ -98,8 +98,8 @@ def _training_config(args) -> TrainingConfig:
 
 
 def _read_pairs(path) -> list:
-    """The sentence pairs of a --data file, which must hold at least
-    one."""
+    """The sentence pairs of a --data or --heldout file, which must hold
+    at least one."""
     pairs = read_parallel_tsv(path)
     if not pairs:
         raise ParseError("no sentence pairs", path=path)
@@ -114,7 +114,7 @@ def cmd_train(args) -> int:
     pairs = _read_pairs(args.data)
     heldout = None
     if args.heldout:
-        heldout = read_parallel_tsv(args.heldout)
+        heldout = _read_pairs(args.heldout)
     elif args.heldout_frac > 0:
         rng = np.random.default_rng((args.seed, 0x5))
         order = rng.permutation(len(pairs))

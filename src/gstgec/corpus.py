@@ -120,17 +120,14 @@ class TokenVocab:
         return len(self.tokens)
 
     @classmethod
-    def build(cls, sentences, min_freq: int = 1) -> "TokenVocab":
+    def build(cls, sentences) -> "TokenVocab":
+        """Every token seen, most frequent first (ties by text)."""
         counts = Counter()
         for sent in sentences:
             counts.update(sent)
-        kept = [t for t, c in counts.items() if c >= min_freq]
-        kept.sort(key=lambda t: (-counts[t], t))
+        kept = sorted(counts, key=lambda t: (-counts[t], t))
         return cls([UNK_TOKEN] + kept)
 
     def encode(self, tokens: TokenSeq) -> np.ndarray:
         unk = 0
         return np.array([self._ids.get(t, unk) for t in tokens], dtype=np.int64)
-
-    def __contains__(self, token):
-        return token in self._ids

@@ -18,6 +18,7 @@ from .errors import ConfigError
 from .labels import KEEP, Kind, LabelSequence, TransformLabel, \
     apply_labels, format_label
 from .model import GecModel, TokenDistributions
+from .sampling import keep_biased_ids
 
 
 def check_gate(gamma: float, beta: float) -> None:
@@ -68,15 +69,6 @@ class CorrectionTrace:
 def sentence_error_score(dists: TokenDistributions) -> float:
     """Sum of error-class probability over non-sentinel positions."""
     return float(dists.ged[1:, 1].sum())
-
-
-def keep_biased_ids(rows: np.ndarray, beta: float) -> np.ndarray:
-    """Per-row argmax over the last axis after adding beta to the keep
-    entry (no renormalization; only the argmax is consumed, so the
-    unnormalized sum is harmless)."""
-    rows = np.array(rows, dtype=np.float64)
-    rows[..., 0] += beta
-    return rows.argmax(axis=-1)
 
 
 def biased_argmax(gel_row: np.ndarray, beta: float,

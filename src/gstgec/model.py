@@ -22,6 +22,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteGradientError
 
 LN_EPS = 1e-5
+ADAM = (0.9, 0.999, 1e-8)  # beta1, beta2, eps
 
 
 @dataclass(frozen=True)
@@ -260,8 +261,14 @@ def encode(params, ids, cfg: ModelConfig) -> np.ndarray:
 
 
 def forward(params, ids, cfg: ModelConfig) -> TokenDistributions:
-    """Detection and labeling probability rows for one sentence."""
-    ged, gel = _heads(params, encode(params, ids, cfg))
+    """Detection and labeling probability rows, one per token; positions
+    past the window (max_len) are certain keeps: ged [1, 0], gel id 0."""
+    x = encode(params, ids, cfg)
+    ged, gel = _heads(params, x)
+    if len(ids) > len(x):
+        pad = ((0, len(ids) - len(x)), (0, 0))
+        ged, gel = np.pad(ged, pad), np.pad(gel, pad)
+        ged[len(x):, 0] = gel[len(x):, 0] = 1
     return TokenDistributions(ged=ged, gel=gel)
 
 
@@ -278,18 +285,21 @@ def _pad_batch(ids, label_ids, det_bits, cfg, dtype):
 
     Returns the (B, n) ids, the flat labels and detection bits, the flat
     per-position loss weights (1/(B*n_b) on sentence b's tokens, 0 on
-    padding) and the key-padding mask for _encode_fwd.
+    padding) and the key-padding mask for _encode_fwd.  A sentence
+    longer than the window is truncated with its labels and bits.
     """
-    ids = [_truncate(s, cfg) for s in _as_batch(ids)]
-    label_ids, det_bits = _as_batch(label_ids), _as_batch(det_bits)
+    ids, label_ids, det_bits = map(_as_batch, (ids, label_ids, det_bits))
     if not ids:
         raise ValueError("empty batch")
     if len(label_ids) != len(ids) or len(det_bits) != len(ids):
         raise ValueError("label/target batches must match the id batch")
-    lens = np.array([len(s) for s in ids])
-    if any(len(lab) != m or len(bit) != m
-           for lab, bit, m in zip(label_ids, det_bits, lens)):
+    if any(len(lab) != len(s) or len(bit) != len(s)
+           for s, lab, bit in zip(ids, label_ids, det_bits)):
         raise ValueError("label/target lengths must match token count")
+    ids = [_truncate(s, cfg) for s in ids]
+    label_ids, det_bits = ([s[:cfg.max_len] for s in seqs]
+                           for seqs in (label_ids, det_bits))
+    lens = np.array([len(s) for s in ids])
     if lens.min() < 1:
         raise ValueError("every sentence needs at least one token")
     labels = np.concatenate(label_ids)
@@ -312,27 +322,25 @@ def _pad_batch(ids, label_ids, det_bits, cfg, dtype):
             weights.ravel().astype(dtype), key_bias)
 
 
-def _token_losses(ged_p, gel_p, label_ids, det_bits, ged_weight):
+def _token_losses(ged_p, gel_p, label_ids, det_bits):
     idx = np.arange(len(label_ids))
     eps = np.finfo(ged_p.dtype).tiny
-    return -(ged_weight * np.log(ged_p[idx, det_bits] + eps)
+    return -(np.log(ged_p[idx, det_bits] + eps)
              + np.log(gel_p[idx, label_ids] + eps))
 
 
-def loss_only(params, ids, label_ids, det_bits, cfg, ged_weight=1.0) -> float:
+def loss_only(params, ids, label_ids, det_bits, cfg) -> float:
     """Forward-only loss_and_grads loss; the finite-difference oracle."""
     dtype = params["tok_emb"].dtype
     ids, label_ids, det_bits, weights, key_bias = _pad_batch(
         ids, label_ids, det_bits, cfg, dtype)
     x, _ = _encode_fwd(params, ids, cfg, key_bias)
     ged_p, gel_p = _heads(params, x)
-    return float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits,
-                                         ged_weight))
+    return float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits))
 
 
 def loss_and_grads(params, ids, label_ids, det_bits, cfg: ModelConfig,
-                   ged_weight: float = 1.0, train: bool = False,
-                   drop_rng=None):
+                   train: bool = False, drop_rng=None):
     """Detection + labeling cross-entropy of a mini-batch and its exact
     gradient for every parameter.
 
@@ -348,13 +356,12 @@ def loss_and_grads(params, ids, label_ids, det_bits, cfg: ModelConfig,
     x, caches = _encode_fwd(params, ids, cfg, key_bias, train=train,
                             drop_rng=drop_rng)
     ged_p, gel_p = _heads(params, x)
-    total = float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits,
-                                          ged_weight))
+    total = float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits))
 
     # the head softmaxes become the gradients of their logits in place
     idx = np.arange(len(weights))
     ged_p[idx, det_bits] -= 1.0
-    ged_p *= (ged_weight * weights)[:, None]
+    ged_p *= weights[:, None]
     gel_p[idx, label_ids] -= 1.0
     gel_p *= weights[:, None]
     grads = {"ged_W": x.T @ ged_p, "ged_b": ged_p.sum(0),
@@ -384,10 +391,9 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params, grads, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One in-place Adam update; rejects non-finite gradients."""
+    beta1, beta2, eps = ADAM
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name}")

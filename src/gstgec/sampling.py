@@ -4,10 +4,10 @@ The exact sampler perturbs log-probabilities with standard Gumbel noise
 and takes the argmax; its temperature-controlled softmax relaxation
 shares the same noise, so the relaxed row's argmax always equals the
 hard sample.  Plain multinomial and uniform-random draws are kept as
-baselines.
+baselines; ``sample_ids`` is the one draw that branches on the mode.
 
-The Gumbel functions take rows of shape (..., V) and reduce over the
-last axis; a matrix call equals row-by-row calls bit for bit, since the
+The functions take rows of shape (..., V) and reduce over the last
+axis; a matrix call equals row-by-row calls bit for bit, since the
 generator draws a matrix as the same stream as its rows in turn.
 """
 
@@ -89,21 +89,41 @@ def gumbel_softmax(probs, tau: float, rng: np.random.Generator) -> np.ndarray:
     return relax_with_noise(probs, sample_gumbel(len(probs), rng), tau)
 
 
-def multinomial(probs, rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw."""
-    cdf = np.cumsum(_normalized(probs))
-    return int(np.searchsorted(cdf, rng.random(), side="right").clip(
-        0, len(cdf) - 1))
+def multinomial(probs, rng: np.random.Generator) -> np.ndarray:
+    """Inverse-CDF categorical draw, one index per row of (..., V)."""
+    cdf = np.cumsum(_normalized(probs), axis=-1)
+    # the count of CDF entries <= u is searchsorted(cdf, u, side="right")
+    hits = (cdf <= rng.random(cdf.shape[:-1])[..., None]).sum(axis=-1)
+    return np.minimum(hits, cdf.shape[-1] - 1)
+
+
+def keep_biased_ids(rows, beta: float) -> np.ndarray:
+    """Per-row argmax over the last axis after adding beta to the keep
+    entry (no renormalization; only the argmax is consumed, so the
+    unnormalized sum is harmless)."""
+    rows = np.array(rows, dtype=np.float64)
+    rows[..., 0] += beta
+    return rows.argmax(axis=-1)
+
+
+def sample_ids(rows, config: SamplingConfig, beta: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """One label id per row of (..., V) with keep bias beta: Gumbel-Softmax
+    adds it to the relaxed rows (each a distribution, so beta >= 1 always
+    keeps), multinomial to the rows it draws from; random ignores both."""
+    if config.mode is SamplingMode.GUMBEL_SOFTMAX:
+        noise = sample_gumbel(np.shape(rows), rng)
+        return keep_biased_ids(relax_with_noise(rows, noise, config.tau), beta)
+    if config.mode is SamplingMode.MULTINOMIAL:
+        rows = np.array(rows, dtype=np.float64)
+        rows[..., 0] += beta
+        return multinomial(rows, rng)
+    if config.mode is SamplingMode.RANDOM:
+        return rng.integers(np.shape(rows)[-1], size=np.shape(rows)[:-1])
+    raise ValueError(f"unknown sampling mode {config.mode!r}")
 
 
 def sample_label(probs, config: SamplingConfig,
                  rng: np.random.Generator) -> int:
     """One class index under the configured sampling mode."""
-    if config.mode is SamplingMode.GUMBEL_SOFTMAX:
-        noise = sample_gumbel(len(probs), rng)
-        return int(np.argmax(relax_with_noise(probs, noise, config.tau)))
-    if config.mode is SamplingMode.MULTINOMIAL:
-        return multinomial(probs, rng)
-    if config.mode is SamplingMode.RANDOM:
-        return int(rng.integers(len(probs)))
-    raise ValueError(f"unknown sampling mode {config.mode!r}")
+    return int(sample_ids(probs, config, 0.0, rng))

@@ -10,8 +10,9 @@ the keep confidence lowers the error rate of the synthesized data;
 raising the gate shrinks how much of the corpus is synthesized from.
 
 Synthesis samples a whole sentence at once: the label rows are masked
-with the label vocabulary's precomputed kind masks, and under
-Gumbel-Softmax one noise matrix perturbs every row.
+with the label vocabulary's precomputed kind masks, and one
+``sampling.sample_ids`` call draws a label id per row under the
+configured mode and keep bias.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ import numpy as np
 from .corpus import SentencePair, TokenSeq, TokenVocab
 from .errors import ConfigError
 from .inference import InferenceConfig, check_gate, correct_sentence, \
-    keep_biased_ids, sentence_error_score
+    sentence_error_score
 from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
     LabelVocab, apply_labels, binarize, extract_labels, format_label, \
     measure_error_rate
 from .model import AdamState, GecModel, adam_step, loss_and_grads
-from .sampling import SamplingConfig, SamplingMode, relax_with_noise, \
-    sample_gumbel, sample_label
+from .sampling import SamplingConfig, sample_ids
 from .scoring import ScoreReport, score_corpus
 
 
@@ -124,28 +124,6 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
     return total_loss / len(order)
 
 
-def _sample_ids(rows: np.ndarray, cfg: TrainingConfig,
-                rng: np.random.Generator) -> list[int]:
-    """Draw one label index per row under the keep bias.
-
-    The exact sampler mirrors inference: each relaxed sample row is a
-    valid distribution, so adding the keep confidence to it before the
-    argmax makes beta >= 1 force the keep label outright, and with
-    shared noise the keep region only grows as beta grows.  The
-    multinomial baseline instead folds the bias into the row it draws
-    from; the random baseline ignores probabilities entirely.  Both
-    baselines draw row by row.
-    """
-    if cfg.sampling.mode is SamplingMode.GUMBEL_SOFTMAX:
-        relaxed = relax_with_noise(rows, sample_gumbel(rows.shape, rng),
-                                   cfg.sampling.tau)
-        return keep_biased_ids(relaxed, cfg.beta).tolist()
-    if cfg.sampling.mode is SamplingMode.MULTINOMIAL:
-        rows = rows.copy()
-        rows[:, 0] += cfg.beta
-    return [sample_label(row, cfg.sampling, rng) for row in rows]
-
-
 def synthesize_example(model: GecModel, pair: SentencePair,
                        gold_labels: LabelSequence, origin_index: int,
                        stage: int, cfg: TrainingConfig,
@@ -167,7 +145,8 @@ def synthesize_example(model: GecModel, pair: SentencePair,
         rows *= vocab.length_preserving_mask
     rows[0] *= vocab.sentinel_mask
     rows /= rows.sum(axis=-1, keepdims=True)
-    sampled = vocab.decode(_sample_ids(rows, cfg, rng))
+    ids = sample_ids(rows, cfg.sampling, cfg.beta, rng)
+    sampled = vocab.decode(ids.tolist())
     if literal:
         # the random baseline ignores the masks, so its draws are
         # checked against them here

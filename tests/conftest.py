@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gstgec.corpus import SENTINEL, SentencePair
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.model import AdamState, GecModel
 from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
@@ -27,3 +28,16 @@ def toy_model(toy_pairs):
     for _ in range(4):
         train_epoch(model, examples, cfg, opt, rng)
     return model
+
+
+@pytest.fixture(scope="session")
+def long_toy_pair(toy_pairs):
+    """Toy pairs joined after one sentinel until the source holds more
+    than twice toy_model's 32-token window."""
+    source, target = [SENTINEL], [SENTINEL]
+    for pair in toy_pairs:
+        if len(source) > 64:
+            break
+        source += pair.source[1:]
+        target += pair.target[1:]
+    return SentencePair(tuple(source), tuple(target))

@@ -342,6 +342,18 @@ def test_empty_data_file_exits_1_naming_it(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_empty_heldout_file_exits_1_naming_it(tmp_path, capsys):
+    data, _ = toy_training_files(tmp_path, n=10)
+    heldout = tmp_path / "heldout.tsv"
+    heldout.write_text("", encoding="utf-8")
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 "--heldout", str(heldout), *TINY_MODEL_ARGS])
+    assert code == 1
+    assert str(heldout) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_one_pair_left_to_the_heldout_split_exits_1(tmp_path, capsys):
     data = tmp_path / "one.tsv"
     write_pairs_file(data, PAIR_LINES[:1])

@@ -155,17 +155,11 @@ def test_checkpoint_trailing_bytes(tmp_path):
 
 
 def test_token_vocab_build_and_unknowns():
-    vocab = TokenVocab.build([(SENTINEL, "a", "a", "b")], min_freq=1)
+    vocab = TokenVocab.build([(SENTINEL, "a", "a", "b")])
     assert vocab.tokens[0] == "$UNK"
     ids = vocab.encode((SENTINEL, "a", "zzz"))
     assert ids[2] == 0  # unknown maps to id 0
     assert len(set(vocab.tokens)) == len(vocab.tokens)
-
-
-def test_token_vocab_min_freq():
-    vocab = TokenVocab.build([(SENTINEL, "a", "a", "b")], min_freq=2)
-    assert "b" not in vocab
-    assert "a" in vocab
 
 
 def test_label_vocab_and_checkpoint_load_parse_no_label(tmp_path,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gstgec.corpus import SENTINEL, TokenVocab, tokenize
 from gstgec.inference import InferenceConfig, biased_argmax, correct, \
@@ -190,3 +191,32 @@ def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
         edits += sum(lab.kind is not Kind.KEP for lab in got)
     if beta < 1.0:
         assert edits > 0 and sentinel_fixes > 0
+
+
+@pytest.mark.filterwarnings("ignore:input of")
+def test_correct_keeps_positions_past_the_window(toy_model, long_toy_pair):
+    window = toy_model.cfg.max_len
+    sentence = long_toy_pair.source
+    trace = correct(toy_model, sentence, InferenceConfig(gamma=0.0))
+    first = trace.rounds[0]
+    head = toy_model.forward_tokens(sentence[:window])
+    # the score sums the window alone, and its labels are the window's
+    assert first.score == sentence_error_score(head)
+    assert first.labels[:window] == predict_labels(toy_model, head, 0.0)
+    assert all(lab.kind is Kind.KEP for lab in first.labels[window:])
+    assert any(r.applied for r in trace.rounds)
+    assert trace.final[0] == SENTINEL
+    assert trace.final[-(len(sentence) - window):] == sentence[window:]
+
+
+@pytest.mark.filterwarnings("ignore:input of")
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_correct_never_raises_on_any_token_sequence(toy_model, data):
+    window = toy_model.cfg.max_len
+    token = st.one_of(st.sampled_from(toy_model.token_vocab.tokens),
+                      st.from_regex(r"[A-Za-z$,.']{1,8}", fullmatch=True))
+    body = data.draw(st.lists(token, max_size=3 * window - 1))
+    trace = correct(toy_model, (SENTINEL, *body),
+                    InferenceConfig(gamma=0.0, max_iters=3))
+    assert trace.final[0] == SENTINEL

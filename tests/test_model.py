@@ -65,6 +65,35 @@ def test_encode_truncates_long_input_with_warning():
     assert x.shape == (4, cfg.dim)
 
 
+def test_forward_keeps_positions_past_the_window():
+    cfg = small_cfg(max_len=4)
+    params = init_params(cfg, 0)
+    ids = np.arange(1, 10)
+    with pytest.warns(UserWarning):
+        d = forward(params, ids, cfg)
+    head = forward(params, ids[:4], cfg)
+    assert d.ged.shape == (9, 2) and d.gel.shape == (9, cfg.num_labels)
+    assert d.ged[:4].tobytes() == head.ged.tobytes()
+    assert d.gel[:4].tobytes() == head.gel.tobytes()
+    assert (d.ged[4:] == [1, 0]).all()
+    assert (d.gel[4:] == np.eye(cfg.num_labels)[0]).all()
+
+
+def test_loss_and_grads_truncates_labels_and_bits_with_ids():
+    cfg = small_cfg(max_len=4)
+    params = init_params(cfg, 1)
+    rng = np.random.default_rng(1)
+    ids, labels, bits = random_batch(cfg, rng, (9, 3, 6))
+    with pytest.warns(UserWarning):
+        loss, grads = loss_and_grads(params, ids, labels, bits, cfg)
+    want, want_grads = loss_and_grads(
+        params, *([s[:4] for s in seqs] for seqs in (ids, labels, bits)),
+        cfg)
+    assert loss == want
+    for name in params:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
 def test_forward_zero_heads_uniform():
     cfg = small_cfg()
     params = init_params(cfg, 0)
@@ -335,9 +364,8 @@ def test_batch_gradients_are_the_mean_of_sentence_gradients():
     rng = np.random.default_rng(5)
     params = init_params(cfg, 5)
     ids, labels, bits = random_batch(cfg, rng, (7, 1, 4, 7, 3))
-    loss, grads = loss_and_grads(params, ids, labels, bits, cfg,
-                                 ged_weight=0.7)
-    singles = [loss_and_grads(params, *ex, cfg, ged_weight=0.7)
+    loss, grads = loss_and_grads(params, ids, labels, bits, cfg)
+    singles = [loss_and_grads(params, *ex, cfg)
                for ex in zip(ids, labels, bits)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]),
                                  rel=0, abs=1e-10)

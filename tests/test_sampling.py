@@ -4,7 +4,7 @@ from scipy import stats
 
 from gstgec.sampling import SamplingConfig, SamplingMode, argmax_with_noise, \
     gumbel_max, gumbel_softmax, multinomial, relax_with_noise, \
-    sample_gumbel, sample_label
+    sample_gumbel, sample_ids, sample_label
 
 
 def test_gumbel_closed_form_points():
@@ -159,6 +159,40 @@ def test_relax_with_noise_rows_equal_row_by_row():
         batched = relax_with_noise(probs, noise, tau)
         for row, n, got in zip(probs, noise, batched):
             assert got.tobytes() == relax_with_noise(row, n, tau).tobytes()
+    # so is every mode's draw; sample_label is the one-row case at beta 0
+    for mode in SamplingMode:
+        cfg = SamplingConfig(mode=mode, tau=0.7)
+        rng = np.random.default_rng(16)
+        want = [sample_label(row, cfg, rng) for row in probs]
+        got = sample_ids(probs, cfg, 0.0, np.random.default_rng(16))
+        assert got.tolist() == want, mode
+        rng = np.random.default_rng(17)
+        want = [int(sample_ids(row, cfg, 0.3, rng)) for row in probs]
+        got = sample_ids(probs, cfg, 0.3, np.random.default_rng(17))
+        assert got.tolist() == want, mode
+
+
+def test_multinomial_matrix_equals_scalar_searchsorted():
+    rng = np.random.default_rng(18)
+    probs = rng.dirichlet(np.full(23, 0.3), size=200)
+    got = multinomial(probs, np.random.default_rng(19))
+    rng = np.random.default_rng(19)
+    want = [int(np.searchsorted(np.cumsum(row / row.sum()), rng.random(),
+                                side="right").clip(0, 22)) for row in probs]
+    assert got.tolist() == want
+
+
+def test_gumbel_tau_acts_only_through_the_keep_bias():
+    probs = np.random.default_rng(20).dirichlet(np.ones(30), size=400)
+
+    def ids(tau, beta):
+        cfg = SamplingConfig(tau=tau)
+        return sample_ids(probs, cfg, beta, np.random.default_rng(21))
+
+    taus = (0.3, 1.0, 3.0)
+    # at beta 0 the relaxed argmax is the Gumbel-max draw for every tau
+    assert len({ids(tau, 0.0).tobytes() for tau in taus}) == 1
+    assert len({ids(tau, 0.3).tobytes() for tau in taus}) == 3
 
 
 def test_sample_gumbel_matrix_is_the_row_stream():

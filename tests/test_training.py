@@ -123,6 +123,46 @@ def test_synthesize_literal_is_length_preserving(toy_model, toy_pairs):
         assert syn.labels == gold  # positionally valid by construction
 
 
+@pytest.mark.filterwarnings("ignore:input of")
+@pytest.mark.parametrize("pairing", ["realign", "literal"])
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_synthesize_example_past_the_window(toy_model, long_toy_pair, mode,
+                                            pairing):
+    pair = long_toy_pair
+    beyond = len(pair.source) - toy_model.cfg.max_len
+    gold = extract_labels(pair)
+    cfg = TrainingConfig(gamma=0.0, beta=0.0, synthesis_pairing=pairing,
+                         sampling=SamplingConfig(mode=mode))
+    changed = 0
+    for k in range(10):
+        syn = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+                                 np.random.default_rng(k))
+        assert len(syn.labels) == len(syn.source)
+        assert syn.source[0] == SENTINEL
+        if mode is not SamplingMode.RANDOM:
+            # positions past the window are certain keeps
+            assert syn.source[-beyond:] == pair.source[-beyond:]
+        changed += syn.source != pair.source
+    assert changed > 0
+
+
+@pytest.mark.filterwarnings("ignore:input of")
+def test_run_gst_trains_synthesizes_and_evaluates_past_the_window(
+        long_toy_pair):
+    pairs, model = small_run_setup(n=20)
+    long_pairs = [long_toy_pair, SentencePair(long_toy_pair.target,
+                                              long_toy_pair.target)]
+    model = GecModel.create(*build_vocabs(pairs + long_pairs), seed=21,
+                            dim=16, layers=1, heads=2, max_len=32)
+    cfg = TrainingConfig(stages=2, epochs_per_stage=1, gamma=0.0, lr=1e-3,
+                         seed=21)
+    _, metrics = run_gst(model, pairs + long_pairs, cfg,
+                         heldout_pairs=long_pairs)
+    assert all(np.isfinite(m.epoch_losses).all() for m in metrics)
+    assert all(m.eval is not None for m in metrics)
+    assert metrics[0].synthetic_count == len(pairs) + 2
+
+
 def test_synthetic_error_rate_monotone_in_beta(toy_model, toy_pairs):
     rates = []
     for beta in (0.0, 0.2, 0.5, 1.5):
