@@ -149,7 +149,7 @@ def test_synthesize_example_past_the_window(toy_model, long_toy_pair, mode,
 @pytest.mark.filterwarnings("ignore:input of")
 def test_run_gst_trains_synthesizes_and_evaluates_past_the_window(
         long_toy_pair):
-    pairs, model = small_run_setup(n=20)
+    pairs, _ = small_run_setup(n=20)
     long_pairs = [long_toy_pair, SentencePair(long_toy_pair.target,
                                               long_toy_pair.target)]
     model = GecModel.create(*build_vocabs(pairs + long_pairs), seed=21,
