@@ -16,7 +16,7 @@ from .errors import GstError
 from .inference import CorrectionTrace, InferenceConfig, correct, \
     correct_sentence
 from .labels import Kind, LabelSequence, LabelVocab, TransformLabel, \
-    apply_labels, binarize, extract_labels, format_label, \
+    apply_labels, extract_labels, format_label, \
     measure_error_rate, parse_label
 from .model import GecModel, ModelConfig, TokenDistributions
 from .sampling import SamplingConfig, SamplingMode, gumbel_max, \
@@ -29,7 +29,7 @@ __all__ = [
     "read_parallel_tsv", "tokenize", "write_parallel_tsv",
     "GstError", "CorrectionTrace", "InferenceConfig", "correct",
     "correct_sentence", "Kind", "LabelSequence", "LabelVocab",
-    "TransformLabel", "apply_labels", "binarize", "extract_labels",
+    "TransformLabel", "apply_labels", "extract_labels",
     "format_label", "measure_error_rate", "parse_label", "GecModel",
     "ModelConfig", "TokenDistributions", "SamplingConfig", "SamplingMode",
     "gumbel_max", "gumbel_softmax", "sample_gumbel", "sample_ids",

@@ -57,7 +57,8 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         model_kwargs = cfg_doc["model"]
         tokens = cfg_doc["tokens"]
         labels = cfg_doc["labels"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        extra = cfg_doc["extra"]
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"invalid config document: {exc}") from exc
     try:
         cfg = ModelConfig(**model_kwargs)
@@ -83,4 +84,4 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     if offset != len(data):
         raise CheckpointFormatError(
             f"{len(data) - offset} trailing bytes after declared arrays")
-    return GecModel(cfg, params, token_vocab, label_vocab), cfg_doc["extra"]
+    return GecModel(cfg, params, token_vocab, label_vocab), extra

@@ -121,10 +121,12 @@ class TokenVocab:
 
     @classmethod
     def build(cls, sentences) -> "TokenVocab":
-        """Every token seen, most frequent first (ties by text)."""
+        """Every token seen, most frequent first (ties by text).  A
+        literal unknown token is not added again: it encodes to id 0."""
         counts = Counter()
         for sent in sentences:
             counts.update(sent)
+        counts.pop(UNK_TOKEN, None)
         kept = sorted(counts, key=lambda t: (-counts[t], t))
         return cls([UNK_TOKEN] + kept)
 

@@ -22,11 +22,11 @@ from .sampling import keep_biased_ids
 
 
 def check_gate(gamma: float, beta: float) -> None:
-    """Reject a negative or NaN sentence gate or keep bias."""
+    """Reject a negative or non-finite sentence gate or keep bias."""
     # NaN fails the comparison: a NaN gate never stops a round
     for name, value in (("gamma", gamma), ("beta", beta)):
-        if not value >= 0:
-            raise ConfigError(f"{name} must be non-negative")
+        if not 0 <= value < np.inf:
+            raise ConfigError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

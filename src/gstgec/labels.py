@@ -376,11 +376,6 @@ def correct_iteratively(src: TokenSeq,
 # ---------------------------------------------------------------------------
 
 
-def binarize(labels: LabelSequence) -> list[int]:
-    """Per-position error bit: 1 iff the label is not KEEP."""
-    return [0 if lab.kind is Kind.KEP else 1 for lab in labels]
-
-
 def measure_error_rate(labels: LabelSequence) -> float:
     """Fraction of non-KEEP labels.
 

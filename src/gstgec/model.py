@@ -8,8 +8,10 @@ encoder output exactly the token plus positional embeddings.
 
 Training runs each mini-batch as one padded (B, n, d) pass: an additive
 key-padding mask keeps padded keys out of every attention row, and
-padded positions carry zero loss weight.  Inference runs the same
-encoder as a batch of one with no mask.
+padded positions carry zero loss weight.  A token's detection target is
+derived from its label (not keep), and dropout runs only when a
+generator is passed.  Inference runs the same encoder as a batch of one
+with no mask.
 """
 
 from __future__ import annotations
@@ -181,19 +183,19 @@ def _dropout_mask(shape, rate, drop_rng, dtype):
     return ((drop_rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype)
 
 
-def _encode_fwd(params, ids, cfg, key_bias=None, train=False,
-                drop_rng=None):
+def _encode_fwd(params, ids, cfg, key_bias=None, drop_rng=None):
     """The encoder over a padded (B, n) id batch.
 
     Returns the output's B*n rows, the (B, n, d) batch flattened so the
     projections run as one matrix product, and one cache per layer.
     key_bias is the additive (B, n) key-padding mask (-inf on padded
-    keys), or None when no sentence is padded.
+    keys), or None when no sentence is padded.  Dropout at cfg.dropout
+    draws its masks from drop_rng; without one nothing is dropped.
     """
     batch, n = ids.shape
     x = (params["tok_emb"][ids] + params["pos_emb"][:n]).reshape(batch * n,
                                                                  cfg.dim)
-    rate = cfg.dropout if train else 0.0
+    rate = 0.0 if drop_rng is None else cfg.dropout
     caches = []
     for l in range(cfg.layers):
         p = f"blk{l}."
@@ -280,25 +282,23 @@ def _as_batch(seqs) -> list[np.ndarray]:
     return [np.asarray(s) for s in seqs]
 
 
-def _pad_batch(ids, label_ids, det_bits, cfg, dtype):
+def _pad_batch(ids, label_ids, cfg, dtype):
     """Validate a mini-batch and pad it to its longest sentence.
 
-    Returns the (B, n) ids, the flat labels and detection bits, the flat
-    per-position loss weights (1/(B*n_b) on sentence b's tokens, 0 on
-    padding) and the key-padding mask for _encode_fwd.  A sentence
-    longer than the window is truncated with its labels and bits.
+    Returns the (B, n) ids, the flat labels and detection targets (label
+    not keep), the flat per-position loss weights (1/(B*n_b) on sentence
+    b's tokens, 0 on padding) and the key-padding mask for _encode_fwd.
+    A sentence longer than the window is truncated with its labels.
     """
-    ids, label_ids, det_bits = map(_as_batch, (ids, label_ids, det_bits))
+    ids, label_ids = _as_batch(ids), _as_batch(label_ids)
     if not ids:
         raise ValueError("empty batch")
-    if len(label_ids) != len(ids) or len(det_bits) != len(ids):
-        raise ValueError("label/target batches must match the id batch")
-    if any(len(lab) != len(s) or len(bit) != len(s)
-           for s, lab, bit in zip(ids, label_ids, det_bits)):
-        raise ValueError("label/target lengths must match token count")
+    if len(label_ids) != len(ids):
+        raise ValueError("label batch must match the id batch")
+    if any(len(lab) != len(s) for s, lab in zip(ids, label_ids)):
+        raise ValueError("label lengths must match token count")
     ids = [_truncate(s, cfg) for s in ids]
-    label_ids, det_bits = ([s[:cfg.max_len] for s in seqs]
-                           for seqs in (label_ids, det_bits))
+    label_ids = [s[:cfg.max_len] for s in label_ids]
     lens = np.array([len(s) for s in ids])
     if lens.min() < 1:
         raise ValueError("every sentence needs at least one token")
@@ -317,50 +317,50 @@ def _pad_batch(ids, label_ids, det_bits, cfg, dtype):
     key_bias = None
     if lens.min() < n:
         key_bias = np.where(valid, 0.0, -np.inf).astype(dtype)
-    return (pad(np.concatenate(ids)), pad(labels).ravel(),
-            pad(np.concatenate(det_bits)).ravel(),
+    labels = pad(labels).ravel()
+    # an integer index: a boolean one would select ged rows as a mask
+    return (pad(np.concatenate(ids)), labels, (labels != 0).astype(np.int64),
             weights.ravel().astype(dtype), key_bias)
 
 
-def _token_losses(ged_p, gel_p, label_ids, det_bits):
+def _token_losses(ged_p, gel_p, label_ids, detect):
     idx = np.arange(len(label_ids))
     eps = np.finfo(ged_p.dtype).tiny
-    return -(np.log(ged_p[idx, det_bits] + eps)
+    return -(np.log(ged_p[idx, detect] + eps)
              + np.log(gel_p[idx, label_ids] + eps))
 
 
-def loss_only(params, ids, label_ids, det_bits, cfg) -> float:
+def loss_only(params, ids, label_ids, cfg) -> float:
     """Forward-only loss_and_grads loss; the finite-difference oracle."""
     dtype = params["tok_emb"].dtype
-    ids, label_ids, det_bits, weights, key_bias = _pad_batch(
-        ids, label_ids, det_bits, cfg, dtype)
+    ids, label_ids, detect, weights, key_bias = _pad_batch(
+        ids, label_ids, cfg, dtype)
     x, _ = _encode_fwd(params, ids, cfg, key_bias)
     ged_p, gel_p = _heads(params, x)
-    return float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits))
+    return float(weights @ _token_losses(ged_p, gel_p, label_ids, detect))
 
 
-def loss_and_grads(params, ids, label_ids, det_bits, cfg: ModelConfig,
-                   train: bool = False, drop_rng=None):
+def loss_and_grads(params, ids, label_ids, cfg: ModelConfig, drop_rng=None):
     """Detection + labeling cross-entropy of a mini-batch and its exact
     gradient for every parameter.
 
-    ids, label_ids and det_bits are sequences of per-sentence arrays (a
-    bare 1-D array is a batch of one).  The loss is the mean over
-    sentences of each sentence's mean-token loss.  The batch runs as
-    one padded encoder pass; padded positions carry zero loss weight,
-    so their gradient rows are exactly zero.
+    ids and label_ids are sequences of per-sentence arrays (a bare 1-D
+    array is a batch of one); a token's detection target is 1 when its
+    label is not keep (id 0).  The loss is the mean over sentences of
+    each sentence's mean-token loss.  The batch runs as one padded
+    encoder pass, with dropout when drop_rng is given; padded positions
+    carry zero loss weight, so their gradient rows are exactly zero.
     """
     dtype = params["tok_emb"].dtype
-    ids, label_ids, det_bits, weights, key_bias = _pad_batch(
-        ids, label_ids, det_bits, cfg, dtype)
-    x, caches = _encode_fwd(params, ids, cfg, key_bias, train=train,
-                            drop_rng=drop_rng)
+    ids, label_ids, detect, weights, key_bias = _pad_batch(
+        ids, label_ids, cfg, dtype)
+    x, caches = _encode_fwd(params, ids, cfg, key_bias, drop_rng)
     ged_p, gel_p = _heads(params, x)
-    total = float(weights @ _token_losses(ged_p, gel_p, label_ids, det_bits))
+    total = float(weights @ _token_losses(ged_p, gel_p, label_ids, detect))
 
     # the head softmaxes become the gradients of their logits in place
     idx = np.arange(len(weights))
-    ged_p[idx, det_bits] -= 1.0
+    ged_p[idx, detect] -= 1.0
     ged_p *= weights[:, None]
     gel_p[idx, label_ids] -= 1.0
     gel_p *= weights[:, None]

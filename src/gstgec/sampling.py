@@ -36,8 +36,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        # NaN fails the comparison; a non-finite tau keeps every token
+        if not 0 < self.tau < np.inf:
+            raise ConfigError("tau must be finite and positive")
 
 
 def sample_gumbel(count, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import ConfigError
 from .inference import InferenceConfig, check_gate, correct_sentence, \
     sentence_error_score
 from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
-    LabelVocab, apply_labels, binarize, extract_labels, format_label, \
+    LabelVocab, apply_labels, extract_labels, format_label, \
     measure_error_rate
 from .model import AdamState, GecModel, adam_step, loss_and_grads
 from .sampling import SamplingConfig, sample_ids
@@ -54,15 +54,14 @@ class TrainingConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         # a zero rate is a valid no-update run; NaN fails the comparison
-        if not self.lr >= 0:
-            raise ConfigError("lr must be non-negative")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError("lr must be finite and non-negative")
 
 
 @dataclass
 class TrainExample:
     src_ids: np.ndarray
     label_ids: np.ndarray
-    det_bits: np.ndarray
 
 
 @dataclass(slots=True)
@@ -70,7 +69,6 @@ class SyntheticExample:
     source: TokenSeq
     labels: LabelSequence
     origin_index: int
-    stage: int
 
 
 @dataclass
@@ -88,7 +86,6 @@ def prepare_example(source: TokenSeq, labels: LabelSequence,
     return TrainExample(
         src_ids=token_vocab.encode(source),
         label_ids=np.array(label_vocab.encode(labels), dtype=np.int64),
-        det_bits=np.array(binarize(labels), dtype=np.int64),
     )
 
 
@@ -108,7 +105,8 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
                 cfg: TrainingConfig, opt_state: AdamState,
                 rng: np.random.Generator) -> float:
     """One seeded-shuffle pass, one padded encoder pass and one Adam
-    step per mini-batch; returns the mean per-sentence loss."""
+    step per mini-batch; returns the mean per-sentence loss.  rng draws
+    the shuffle and, at a nonzero model dropout, the dropout masks."""
     if not examples:
         raise ValueError("dataset is empty")
     order = rng.permutation(len(examples))
@@ -117,8 +115,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
         batch = [examples[i] for i in order[start:start + cfg.batch_size]]
         loss, grads = loss_and_grads(
             model.params, [ex.src_ids for ex in batch],
-            [ex.label_ids for ex in batch], [ex.det_bits for ex in batch],
-            model.cfg, train=model.cfg.dropout > 0, drop_rng=rng)
+            [ex.label_ids for ex in batch], cfg=model.cfg, drop_rng=rng)
         adam_step(model.params, grads, opt_state, cfg.lr)
         total_loss += loss * len(batch)
     return total_loss / len(order)
@@ -126,7 +123,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
 
 def synthesize_example(model: GecModel, pair: SentencePair,
                        gold_labels: LabelSequence, origin_index: int,
-                       stage: int, cfg: TrainingConfig,
+                       cfg: TrainingConfig,
                        rng: np.random.Generator) -> SyntheticExample | None:
     """Sample one errorful variant of a genuine source, or None when the
     detector sees too little error mass in it.
@@ -154,12 +151,12 @@ def synthesize_example(model: GecModel, pair: SentencePair,
                    for lab in sampled]
     synthetic_source = apply_labels(pair.source, sampled)
     if synthetic_source == pair.source:
-        return SyntheticExample(pair.source, gold_labels, origin_index, stage)
+        return SyntheticExample(pair.source, gold_labels, origin_index)
     if literal:
         labels = gold_labels
     else:
         labels = extract_labels(SentencePair(synthetic_source, pair.target))
-    return SyntheticExample(synthetic_source, labels, origin_index, stage)
+    return SyntheticExample(synthetic_source, labels, origin_index)
 
 
 def synthesize_dataset(model: GecModel, pairs, gold_labels_per_pair,
@@ -173,7 +170,7 @@ def synthesize_dataset(model: GecModel, pairs, gold_labels_per_pair,
     out = []
     for k, (pair, gold) in enumerate(zip(pairs, gold_labels_per_pair)):
         rng = np.random.default_rng((base_seed, stage, k))
-        syn = synthesize_example(model, pair, gold, k, stage, cfg, rng)
+        syn = synthesize_example(model, pair, gold, k, cfg, rng)
         if syn is not None:
             out.append(syn)
     return out

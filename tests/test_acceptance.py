@@ -93,12 +93,12 @@ def test_criterion_3_gradient_check(capsys):
     cfg = ModelConfig(vocab_size=12, num_labels=5, dim=8, layers=1, heads=2,
                       max_len=8, dtype="float64")
 
-    def central_diff(params, ids, labels, bits, flat, i, h):
+    def central_diff(params, ids, labels, flat, i, h):
         orig = flat[i]
         flat[i] = orig + h
-        lp = loss_only(params, ids, labels, bits, cfg)
+        lp = loss_only(params, ids, labels, cfg)
         flat[i] = orig - h
-        lm = loss_only(params, ids, labels, bits, cfg)
+        lm = loss_only(params, ids, labels, cfg)
         flat[i] = orig
         return (lp - lm) / (2 * h)
 
@@ -110,21 +110,19 @@ def test_criterion_3_gradient_check(capsys):
         n = int(rng.integers(2, 7))
         ids = rng.integers(0, cfg.vocab_size, size=n)
         labels = rng.integers(0, cfg.num_labels, size=n)
-        bits = rng.integers(0, 2, size=n)
-        _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+        _, grads = loss_and_grads(params, ids, labels, cfg)
         for name, arr in params.items():
             flat = arr.ravel()
             g = grads[name].ravel()
             for i in range(flat.size):
-                num = central_diff(params, ids, labels, bits, flat, i, 1e-4)
+                num = central_diff(params, ids, labels, flat, i, 1e-4)
                 rel = abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6)
                 if rel >= 1e-3:
                     # A +-1e-4 step occasionally straddles a ReLU kink,
                     # where the loss is not differentiable; a tenfold
                     # smaller step distinguishes that artifact from a
                     # genuinely wrong gradient.
-                    num = central_diff(params, ids, labels, bits, flat, i,
-                                       1e-5)
+                    num = central_diff(params, ids, labels, flat, i, 1e-5)
                     rel = abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6)
                     kinks += 1
                 worst = max(worst, rel)

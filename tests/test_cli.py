@@ -84,6 +84,18 @@ def test_train_equals_gst_single_stage(tmp_path):
         assert model_a.params[k].tobytes() == model_b.params[k].tobytes()
 
 
+def test_train_on_a_literal_unknown_token(tmp_path, capsys):
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data, PAIR_LINES + ["the $UNK sat\tthe $UNK sat",
+                                         "a $UNK go\ta $UNK goes"])
+    out = tmp_path / "m.gst"
+    assert main(["train", "--data", str(data), "--out", str(out),
+                 *TINY_MODEL_ARGS]) == 0
+    assert capsys.readouterr().err == ""
+    model, _ = load_checkpoint(out)
+    assert model.token_vocab.tokens.count("$UNK") == 1
+
+
 def test_gst_random_sampling_runs_and_logs_mode(tmp_path):
     data, _ = toy_training_files(tmp_path, n=20)
     out = tmp_path / "m.gst"
@@ -221,6 +233,11 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["gst", "--stages", "0"],
     ["correct", "--max-iters", "0"],
     ["synthesize", "--tau", "0"],
+    ["synthesize", "--tau", "nan"],
+    ["synthesize", "--tau", "inf"],
+    ["synthesize", "--sampling", "multinomial", "--beta", "inf"],
+    ["correct", "--gamma", "inf"],
+    ["train", "--lr", "inf"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")

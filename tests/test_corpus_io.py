@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -154,12 +155,37 @@ def test_checkpoint_trailing_bytes(tmp_path):
         load_checkpoint(path)
 
 
+def _edit_config_document(path, edit) -> None:
+    """Rewrite the checkpoint's config document as edit(document)."""
+    data = path.read_bytes()
+    end = 8 + int(np.frombuffer(data[4:8], dtype="<u4")[0])
+    doc = json.dumps(edit(json.loads(data[8:end]))).encode("utf-8")
+    path.write_bytes(data[:4] + np.uint32(len(doc)).astype("<u4").tobytes()
+                     + doc + data[end:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: {k: v for k, v in doc.items() if k != "extra"},
+    lambda doc: [1, 2],
+], ids=["no-extra", "not-an-object"])
+def test_checkpoint_malformed_config_document(tmp_path, edit):
+    path = tmp_path / "model.gst"
+    save_checkpoint(_tiny_model(), path)
+    _edit_config_document(path, edit)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
 def test_token_vocab_build_and_unknowns():
     vocab = TokenVocab.build([(SENTINEL, "a", "a", "b")])
     assert vocab.tokens[0] == "$UNK"
     ids = vocab.encode((SENTINEL, "a", "zzz"))
     assert ids[2] == 0  # unknown maps to id 0
     assert len(set(vocab.tokens)) == len(vocab.tokens)
+    # a literal unknown token in the corpus is the reserved entry
+    vocab = TokenVocab.build([(SENTINEL, "$UNK", "a"), (SENTINEL, "$UNK")])
+    assert vocab.tokens == ["$UNK", SENTINEL, "a"]
+    assert vocab.encode((SENTINEL, "$UNK", "a")).tolist() == [1, 0, 2]
 
 
 def test_label_vocab_and_checkpoint_load_parse_no_label(tmp_path,

@@ -18,8 +18,7 @@ def random_input(cfg, rng):
     n = int(rng.integers(2, 7))
     ids = rng.integers(0, cfg.vocab_size, size=n)
     labels = rng.integers(0, cfg.num_labels, size=n)
-    bits = rng.integers(0, 2, size=n)
-    return ids, labels, bits
+    return ids, labels
 
 
 def test_encode_zeroed_projections_is_embedding_sum():
@@ -79,16 +78,15 @@ def test_forward_keeps_positions_past_the_window():
     assert (d.gel[4:] == np.eye(cfg.num_labels)[0]).all()
 
 
-def test_loss_and_grads_truncates_labels_and_bits_with_ids():
+def test_loss_and_grads_truncates_labels_with_ids():
     cfg = small_cfg(max_len=4)
     params = init_params(cfg, 1)
     rng = np.random.default_rng(1)
-    ids, labels, bits = random_batch(cfg, rng, (9, 3, 6))
+    ids, labels = random_batch(cfg, rng, (9, 3, 6))
     with pytest.warns(UserWarning):
-        loss, grads = loss_and_grads(params, ids, labels, bits, cfg)
+        loss, grads = loss_and_grads(params, ids, labels, cfg)
     want, want_grads = loss_and_grads(
-        params, *([s[:4] for s in seqs] for seqs in (ids, labels, bits)),
-        cfg)
+        params, *([s[:4] for s in seqs] for seqs in (ids, labels)), cfg)
     assert loss == want
     for name in params:
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
@@ -128,32 +126,44 @@ def test_loss_uniform_heads_value():
     for name in ("ged_W", "ged_b", "gel_W", "gel_b"):
         params[name][:] = 0
     ids = np.array([1, 2, 3])
-    val = loss_only(params, ids, np.array([0, 1, 2]), np.array([0, 1, 0]),
-                    cfg)
+    val = loss_only(params, ids, np.array([0, 1, 2]), cfg)
     assert val == pytest.approx(np.log(2) + np.log(cfg.num_labels), rel=1e-6)
+
+
+def test_detection_target_is_every_non_keep_label():
+    # id 0 is keep and id 1 the unknown label: only keep is a
+    # non-error target for the detection head
+    cfg = small_cfg()
+    params = init_params(cfg, 2)
+    ids = np.array([0, 4, 9, 2, 7, 11])
+    labels = np.array([0, 1, 3, 0, 1, 6])
+    loss, _ = loss_and_grads(params, ids, labels, cfg)
+    d = forward(params, ids, cfg)
+    rows = np.arange(len(ids))
+    want = -np.mean(np.log(d.ged[rows, (labels != 0).astype(int)])
+                    + np.log(d.gel[rows, labels]))
+    assert loss == pytest.approx(want, rel=0, abs=1e-12)
 
 
 def test_loss_rejects_bad_label_ids():
     cfg = small_cfg()
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
-        loss_and_grads(params, np.array([1, 2]), np.array([0, 99]),
-                       np.array([0, 1]), cfg)
+        loss_and_grads(params, np.array([1, 2]), np.array([0, 99]), cfg)
 
 
 def test_loss_rejects_length_mismatch():
     cfg = small_cfg()
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
-        loss_and_grads(params, np.array([1, 2]), np.array([0]),
-                       np.array([0, 1]), cfg)
+        loss_and_grads(params, np.array([1, 2]), np.array([0]), cfg)
 
 
 def max_rel_grad_error(cfg, seed, h=1e-4):
     rng = np.random.default_rng(seed)
     params = init_params(cfg, seed)
-    ids, labels, bits = random_input(cfg, rng)
-    _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+    ids, labels = random_input(cfg, rng)
+    _, grads = loss_and_grads(params, ids, labels, cfg)
     worst = 0.0
     for name, arr in params.items():
         flat = arr.ravel()
@@ -161,9 +171,9 @@ def max_rel_grad_error(cfg, seed, h=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_only(params, ids, labels, bits, cfg)
+            lp = loss_only(params, ids, labels, cfg)
             flat[i] = orig - h
-            lm = loss_only(params, ids, labels, bits, cfg)
+            lm = loss_only(params, ids, labels, cfg)
             flat[i] = orig
             num = (lp - lm) / (2 * h)
             worst = max(worst,
@@ -185,14 +195,14 @@ def test_dropout_gradients_match_finite_differences():
                       max_len=8, dropout=0.3, dtype="float64")
     rng = np.random.default_rng(0)
     params = init_params(cfg, 0)
-    ids, labels, bits = random_input(cfg, rng)
+    ids, labels = random_input(cfg, rng)
 
     def loss_and_grads_masked():
-        return loss_and_grads(params, ids, labels, bits, cfg, train=True,
+        return loss_and_grads(params, ids, labels, cfg,
                               drop_rng=np.random.default_rng(7))
 
     loss, grads = loss_and_grads_masked()
-    assert loss != loss_only(params, ids, labels, bits, cfg)
+    assert loss != loss_only(params, ids, labels, cfg)
     h = 1e-4
     worst = 0.0
     for name, arr in params.items():
@@ -223,8 +233,8 @@ def test_training_smoke_loss_decreases():
 
     first = total()
     for _ in range(50):
-        for ids, labels, bits in batch:
-            _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+        for ids, labels in batch:
+            _, grads = loss_and_grads(params, ids, labels, cfg)
             adam_step(params, grads, state, lr=1e-3)
     assert total() < first
 
@@ -262,8 +272,8 @@ def test_training_determinism():
         params = init_params(cfg, 5)
         state = AdamState()
         for _ in range(2):
-            ids, labels, bits = random_input(cfg, rng)
-            _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+            ids, labels = random_input(cfg, rng)
+            _, grads = loss_and_grads(params, ids, labels, cfg)
             adam_step(params, grads, state, lr=1e-3)
         return params
 
@@ -296,8 +306,7 @@ def batch_cfg(**kw):
 def random_batch(cfg, rng, lengths):
     ids = [rng.integers(0, cfg.vocab_size, size=n) for n in lengths]
     labels = [rng.integers(0, cfg.num_labels, size=n) for n in lengths]
-    bits = [rng.integers(0, 2, size=n) for n in lengths]
-    return ids, labels, bits
+    return ids, labels
 
 
 def worst_fd_error(params, grads, loss_fn):
@@ -334,12 +343,12 @@ def test_padded_batch_gradients_match_finite_differences():
     cfg = batch_cfg(layers=2)
     rng = np.random.default_rng(3)
     params = init_params(cfg, 3)
-    ids, labels, bits = random_batch(cfg, rng, (2, 6, 4))
-    _, grads = loss_and_grads(params, ids, labels, bits, cfg)
+    ids, labels = random_batch(cfg, rng, (2, 6, 4))
+    _, grads = loss_and_grads(params, ids, labels, cfg)
 
     def mean_loss():
         return np.mean([loss_only(params, *ex, cfg)
-                        for ex in zip(ids, labels, bits)])
+                        for ex in zip(ids, labels)])
 
     assert worst_fd_error(params, grads, mean_loss) < 1e-3
 
@@ -348,14 +357,14 @@ def test_padded_batch_dropout_gradients_match_finite_differences():
     cfg = batch_cfg(dropout=0.3)
     rng = np.random.default_rng(4)
     params = init_params(cfg, 4)
-    ids, labels, bits = random_batch(cfg, rng, (5, 2, 3))
+    ids, labels = random_batch(cfg, rng, (5, 2, 3))
 
     def masked():
-        return loss_and_grads(params, ids, labels, bits, cfg, train=True,
+        return loss_and_grads(params, ids, labels, cfg,
                               drop_rng=np.random.default_rng(7))
 
     loss, grads = masked()
-    assert loss != loss_and_grads(params, ids, labels, bits, cfg)[0]
+    assert loss != loss_and_grads(params, ids, labels, cfg)[0]
     assert worst_fd_error(params, grads, lambda: masked()[0]) < 1e-3
 
 
@@ -363,10 +372,10 @@ def test_batch_gradients_are_the_mean_of_sentence_gradients():
     cfg = small_cfg()
     rng = np.random.default_rng(5)
     params = init_params(cfg, 5)
-    ids, labels, bits = random_batch(cfg, rng, (7, 1, 4, 7, 3))
-    loss, grads = loss_and_grads(params, ids, labels, bits, cfg)
+    ids, labels = random_batch(cfg, rng, (7, 1, 4, 7, 3))
+    loss, grads = loss_and_grads(params, ids, labels, cfg)
     singles = [loss_and_grads(params, *ex, cfg)
-               for ex in zip(ids, labels, bits)]
+               for ex in zip(ids, labels)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]),
                                  rel=0, abs=1e-10)
     assert list(grads) == list(params)
@@ -383,9 +392,8 @@ def test_padded_positions_get_no_gradient():
     # reaches positions 2..5
     ids = [np.array([1, 2]), np.array([3, 4, 5, 6, 7, 8])]
     labels = [np.array([0, 1]), np.array([2, 3, 4, 5, 6, 0])]
-    bits = [np.array([0, 1]), np.array([1, 0, 1, 0, 1, 0])]
-    _, batch = loss_and_grads(params, ids, labels, bits, cfg)
-    _, long_only = loss_and_grads(params, ids[1], labels[1], bits[1], cfg)
+    _, batch = loss_and_grads(params, ids, labels, cfg)
+    _, long_only = loss_and_grads(params, ids[1], labels[1], cfg)
     assert not batch["tok_emb"][0].any()
     assert not batch["pos_emb"][6:].any()
     np.testing.assert_allclose(batch["pos_emb"][2:6],
@@ -396,7 +404,7 @@ def test_padded_positions_get_no_gradient():
 def encoded_rows(params, batch, cfg):
     """Each sentence's valid rows of one padded encoder pass."""
     zeros = [np.zeros(len(s), dtype=np.int64) for s in batch]
-    ids, _, _, _, key_bias = _pad_batch(batch, zeros, zeros, cfg,
+    ids, _, _, _, key_bias = _pad_batch(batch, zeros, cfg,
                                         np.dtype(cfg.dtype))
     x, _ = _encode_fwd(params, ids, cfg, key_bias)
     x = x.reshape(*ids.shape, cfg.dim)
@@ -481,17 +489,15 @@ def test_batch_rejects_mismatched_and_empty_input():
     params = init_params(cfg, 0)
     ids = [np.array([1, 2]), np.array([3])]
     with pytest.raises(ValueError):
-        loss_and_grads(params, ids, [np.array([0, 1])],
-                       [np.array([0, 1]), np.array([0])], cfg)
+        loss_and_grads(params, ids, [np.array([0, 1])], cfg)
     with pytest.raises(ValueError):
         loss_and_grads(params, ids, [np.array([0, 1]), np.array([0, 1])],
-                       [np.array([0, 1]), np.array([0])], cfg)
+                       cfg)
     with pytest.raises(ValueError):
         loss_and_grads(params, [np.array([1]), np.array([], dtype=int)],
-                       [np.array([0]), np.array([], dtype=int)],
                        [np.array([0]), np.array([], dtype=int)], cfg)
     with pytest.raises(ValueError):
-        loss_and_grads(params, [], [], [], cfg)
+        loss_and_grads(params, [], [], cfg)
 
 
 def test_negative_layers_rejected():

@@ -70,7 +70,7 @@ def test_synthesize_beta_dominance(toy_model, toy_pairs):
     cfg = TrainingConfig(gamma=0.0, beta=1.5)
     for k, pair in enumerate(toy_pairs[:30]):
         gold = extract_labels(pair)
-        syn = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+        syn = synthesize_example(toy_model, pair, gold, k, cfg,
                                  np.random.default_rng(k))
         if syn is None:
             continue  # error score exactly zero never happens in practice
@@ -82,7 +82,7 @@ def test_synthesize_beta_dominance_literal(toy_model, toy_pairs):
     cfg = TrainingConfig(gamma=0.0, beta=1.5, synthesis_pairing="literal")
     pair = toy_pairs[0]
     gold = extract_labels(pair)
-    syn = synthesize_example(toy_model, pair, gold, 0, 1, cfg,
+    syn = synthesize_example(toy_model, pair, gold, 0, cfg,
                              np.random.default_rng(0))
     assert syn is not None
     assert syn.source == pair.source
@@ -92,7 +92,7 @@ def test_synthesize_beta_dominance_literal(toy_model, toy_pairs):
 def test_synthesize_huge_gamma_returns_none(toy_model, toy_pairs):
     pair = toy_pairs[0]
     cfg = TrainingConfig(gamma=1e9, beta=0.0)
-    assert synthesize_example(toy_model, pair, extract_labels(pair), 0, 1,
+    assert synthesize_example(toy_model, pair, extract_labels(pair), 0,
                               cfg, np.random.default_rng(0)) is None
 
 
@@ -101,7 +101,7 @@ def test_synthesize_realign_reaches_gold_target(toy_model, toy_pairs):
     checked = 0
     for k, pair in enumerate(toy_pairs):
         gold = extract_labels(pair)
-        syn = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+        syn = synthesize_example(toy_model, pair, gold, k, cfg,
                                  np.random.default_rng((5, k)))
         if syn is None:
             continue
@@ -115,7 +115,7 @@ def test_synthesize_literal_is_length_preserving(toy_model, toy_pairs):
     cfg = TrainingConfig(gamma=0.0, beta=0.1, synthesis_pairing="literal")
     for k, pair in enumerate(toy_pairs[:50]):
         gold = extract_labels(pair)
-        syn = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+        syn = synthesize_example(toy_model, pair, gold, k, cfg,
                                  np.random.default_rng((6, k)))
         if syn is None:
             continue
@@ -135,7 +135,7 @@ def test_synthesize_example_past_the_window(toy_model, long_toy_pair, mode,
                          sampling=SamplingConfig(mode=mode))
     changed = 0
     for k in range(10):
-        syn = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+        syn = synthesize_example(toy_model, pair, gold, k, cfg,
                                  np.random.default_rng(k))
         assert len(syn.labels) == len(syn.source)
         assert syn.source[0] == SENTINEL
@@ -287,8 +287,8 @@ def test_train_epoch_one_loss_call_per_batch(monkeypatch, n, batch_size):
 def test_train_epoch_returns_mean_sentence_loss():
     pairs, model = small_run_setup(n=9)
     examples = build_dataset(pairs, model.token_vocab, model.label_vocab)
-    before = [loss_only(model.params, ex.src_ids, ex.label_ids,
-                        ex.det_bits, model.cfg) for ex in examples]
+    before = [loss_only(model.params, ex.src_ids, ex.label_ids, model.cfg)
+              for ex in examples]
     # lr 0 leaves the weights alone, so every batch sees the same model
     loss = train_epoch(model, examples, TrainingConfig(lr=0.0, batch_size=4),
                        AdamState(), np.random.default_rng(0))
@@ -328,7 +328,7 @@ def test_corrupt_measured_error_rate_tracks_config():
 
 
 def reference_synthesize_example(model, pair, gold_labels, origin_index,
-                                 stage, cfg, rng):
+                                 cfg, rng):
     """Position-by-position sampler that the vectorized one replaced: one
     noise row (or one baseline draw) per position, masks rebuilt from
     the label strings."""
@@ -387,7 +387,7 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
         labels = gold_labels
     else:
         labels = extract_labels(SentencePair(synthetic_source, pair.target))
-    return SyntheticExample(synthetic_source, labels, origin_index, stage)
+    return SyntheticExample(synthetic_source, labels, origin_index)
 
 
 @pytest.mark.parametrize("pairing", ["realign", "literal"])
@@ -399,10 +399,10 @@ def test_synthesize_example_matches_per_position_reference(
     changed = 0
     for k, pair in enumerate(toy_pairs[:60]):
         gold = extract_labels(pair)
-        got = synthesize_example(toy_model, pair, gold, k, 1, cfg,
+        got = synthesize_example(toy_model, pair, gold, k, cfg,
                                  np.random.default_rng((5, k)))
-        want = reference_synthesize_example(toy_model, pair, gold, k, 1,
-                                            cfg, np.random.default_rng((5, k)))
+        want = reference_synthesize_example(toy_model, pair, gold, k, cfg,
+                                            np.random.default_rng((5, k)))
         assert got == want, k
         changed += got.source != pair.source
     assert changed > 0  # the comparison covers sampled edits, not only keeps

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gstgec.corpus import SENTINEL, SentencePair, tokenize
 from gstgec.labels import KEEP, Kind, TransformLabel, align_ops, \
-    apply_labels, apply_labels_with_warnings, binarize, correct_iteratively, \
+    apply_labels, apply_labels_with_warnings, correct_iteratively, \
     edit_distance, extract_labels, format_label, measure_error_rate, \
     parse_label
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
@@ -136,13 +136,6 @@ def test_apply_inapplicable_rules_warn():
     out2, w3 = apply_labels_with_warnings(
         src2, [KEEP, TransformLabel(Kind.NNUM)])
     assert out2 == src2 and w3
-
-
-def test_binarize():
-    labs = [KEEP, TransformLabel(Kind.DEL), TransformLabel(Kind.REP, "x")]
-    assert binarize(labs) == [0, 1, 1]
-    assert binarize([TransformLabel(Kind.APP, "w"), KEEP]) == [1, 0]
-    assert binarize([KEEP, KEEP, KEEP]) == [0, 0, 0]
 
 
 def test_measure_error_rate():
