@@ -175,52 +175,94 @@ class LabelVocab:
 #          | ("ins", anchor_i, j)
 
 
+def _delta_columns(src: TokenSeq,
+                   tgt: TokenSeq) -> tuple[list[int], list[int]]:
+    """Vertical cost deltas, per column, of the reversed sequences.
+
+    C[k][c] is the cost of aligning the last k tokens of src with the
+    last c tokens of tgt, so ed(src[i:], tgt[j:]) = C[n-i][m-j].  For
+    each column c = 0..m, bit k-1 of VP[c] (of VN[c]) is set when
+    C[k][c] - C[k-1][c] is +1 (-1), so
+    C[k][c] = c + popcount(VP[c] & low_k) - popcount(VN[c] & low_k)
+    with low_k the k lowest bits.  Each column is one bit-parallel step
+    over all n rows (Myers 1999, in Hyyrö's 2001 global-distance form).
+    """
+    mask = (1 << len(src)) - 1
+    peq: dict[str, int] = {}  # bit k: the k+1-th token from the end
+    for k, tok in enumerate(reversed(src)):
+        peq[tok] = peq.get(tok, 0) | 1 << k
+    vp, vn = mask, 0  # column 0: C[k][0] = k
+    vps, vns = [vp], [vn]
+    for tok in reversed(tgt):  # column c reads tgt[m-c]
+        eq = peq.get(tok, 0)
+        d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+        hp = vn | ~(d0 | vp)
+        hn = vp & d0
+        # the carry-in of 1 is C[0][c] - C[0][c-1]: a global alignment.
+        # ~ sets every high bit, so each vector is masked back to n bits.
+        x = ((hp << 1) | 1) & mask
+        vn = x & d0
+        vp = ((hn << 1) | ~(x | d0)) & mask
+        vps.append(vp)
+        vns.append(vn)
+    return vps, vns
+
+
 def align_ops(src: TokenSeq, tgt: TokenSeq) -> list[tuple]:
     """Minimal-cost token alignment as a left-to-right op list.
 
     Unit cost for insert/delete/substitute, zero for match.  Ties at
     equal dynamic-programming cost are broken left to right preferring
     match > substitution > deletion > insertion.
+
+    The traceback walks the suffix costs D[i][j] = ed(src[i:], tgt[j:]).
+    These are the prefix costs of the reversed sequences, which Myers'
+    bit-vector algorithm (Myers 1999, J. ACM 46(3)) gives as one pair of
+    n-bit delta vectors per target column (_delta_columns):
+    D[i][j] = (m-j) + popcount(VP[m-j] & low) - popcount(VN[m-j] & low)
+    with low the n-i lowest bits.  No (n+1)×(m+1) table is built.
     """
     n, m = len(src), len(tgt)
-    # D[i][j] = minimal cost to align src[i:] with tgt[j:]
-    D = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(m + 1):
-        D[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        D[i][m] = n - i
-        row, nxt = D[i], D[i + 1]
-        si = src[i]
-        for j in range(m - 1, -1, -1):
-            best = nxt[j + 1] + (0 if si == tgt[j] else 1)
-            if nxt[j] + 1 < best:
-                best = nxt[j] + 1
-            if row[j + 1] + 1 < best:
-                best = row[j + 1] + 1
-            row[j] = best
+    vps, vns = _delta_columns(src, tgt)
     ops = []
     i = j = 0
-    while i < n or j < m:
-        if (i < n and j < m and src[i] == tgt[j]
-                and D[i][j] == D[i + 1][j + 1]):
+    cost = m + vps[m].bit_count() - vns[m].bit_count()  # D[i][j]
+    while i < n and j < m:
+        if src[i] == tgt[j]:
+            # equal tokens always give D[i][j] == D[i+1][j+1], because
+            # neighbouring costs differ by at most one: no cost to read
             ops.append(("match", i, j))
             i += 1
             j += 1
-        elif i < n and j < m and D[i][j] == 1 + D[i + 1][j + 1]:
+            continue
+        c = m - j - 1
+        low = (1 << (n - i - 1)) - 1
+        # D[i+1][j+1]
+        diag = c + (vps[c] & low).bit_count() - (vns[c] & low).bit_count()
+        if cost == 1 + diag:
             ops.append(("sub", i, j))
             i += 1
             j += 1
-        elif i < n and D[i][j] == 1 + D[i + 1][j]:
+            cost = diag
+        elif vps[c + 1] >> (n - i - 1) & 1:
+            # D[i][j] - D[i+1][j] is bit n-i-1 of column m-j's deltas
             ops.append(("del", i, None))
             i += 1
+            cost -= 1
         else:
             ops.append(("ins", i - 1, j))
             j += 1
+            cost -= 1
+    # one side is used up: D[i][m] = n-i and D[n][j] = m-j
+    ops.extend(("del", k, None) for k in range(i, n))
+    ops.extend(("ins", n - 1, k) for k in range(j, m))
     return ops
 
 
 def edit_distance(src: TokenSeq, tgt: TokenSeq) -> int:
-    return sum(1 for op in align_ops(src, tgt) if op[0] != "match")
+    """Levenshtein distance: the number of non-match ops of align_ops."""
+    vps, vns = _delta_columns(src, tgt)
+    return len(tgt) + vps[-1].bit_count() - vns[-1].bit_count()
 
 
 def _classify_sub(src, tgt, ops, idx):

@@ -43,6 +43,12 @@ class ModelConfig:
         return 4 * self.dim
 
     def __post_init__(self):
+        for name in ("vocab_size", "num_labels", "dim", "layers", "heads",
+                     "max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, "
+                                  f"not {value!r}")
         for name in ("dim", "heads", "max_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")

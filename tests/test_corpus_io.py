@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
+from gstgec.cli import main
 from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
-    read_parallel_tsv, tokenize, write_parallel_tsv
+    read_parallel_tsv, tokenize, write_parallel_tsv, write_sentences
 from gstgec.errors import BadMagicError, CheckpointFormatError, \
     ConfigError, ParseError, TruncatedCheckpointError
 from gstgec.labels import LabelVocab
@@ -174,6 +175,39 @@ def test_checkpoint_malformed_config_document(tmp_path, edit):
     _edit_config_document(path, edit)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("dim", 32.0), ("max_len", 40.0), ("layers", 2.0),
+    ("vocab_size", 413.0), ("heads", True),
+])
+def test_checkpoint_non_integer_model_field_exits_1(tmp_path, capsys, field,
+                                                    value):
+    path = tmp_path / "model.gst"
+    path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
+
+    def edit(doc):
+        doc["model"][field] = value
+        return doc
+
+    _edit_config_document(path, edit)
+    inp = tmp_path / "in.txt"
+    write_sentences([(SENTINEL, "a", "b")], inp)
+    assert main(["correct", "--model", str(path), "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+@pytest.mark.parametrize("field", ["vocab_size", "num_labels", "dim",
+                                   "layers", "heads", "max_len"])
+@pytest.mark.parametrize("value", [2.0, True, "2", None])
+def test_model_config_rejects_non_integer_fields(field, value):
+    kwargs = dict(vocab_size=3, num_labels=2, dim=4, layers=1, heads=2,
+                  max_len=8)
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(**kwargs)
 
 
 def test_token_vocab_build_and_unknowns():

@@ -30,6 +30,53 @@ def brute_force_distance(src, tgt):
     return go(0, 0)
 
 
+def reference_align_ops(src, tgt):
+    """Oracle: the (n+1)×(m+1) cost table and traceback of align_ops
+    before its bit-parallel columns, kept verbatim.
+
+    Minimal-cost token alignment as a left-to-right op list.
+
+    Unit cost for insert/delete/substitute, zero for match.  Ties at
+    equal dynamic-programming cost are broken left to right preferring
+    match > substitution > deletion > insertion.
+    """
+    n, m = len(src), len(tgt)
+    # D[i][j] = minimal cost to align src[i:] with tgt[j:]
+    D = [[0] * (m + 1) for _ in range(n + 1)]
+    for j in range(m + 1):
+        D[n][j] = m - j
+    for i in range(n - 1, -1, -1):
+        D[i][m] = n - i
+        row, nxt = D[i], D[i + 1]
+        si = src[i]
+        for j in range(m - 1, -1, -1):
+            best = nxt[j + 1] + (0 if si == tgt[j] else 1)
+            if nxt[j] + 1 < best:
+                best = nxt[j] + 1
+            if row[j + 1] + 1 < best:
+                best = row[j + 1] + 1
+            row[j] = best
+    ops = []
+    i = j = 0
+    while i < n or j < m:
+        if (i < n and j < m and src[i] == tgt[j]
+                and D[i][j] == D[i + 1][j + 1]):
+            ops.append(("match", i, j))
+            i += 1
+            j += 1
+        elif i < n and j < m and D[i][j] == 1 + D[i + 1][j + 1]:
+            ops.append(("sub", i, j))
+            i += 1
+            j += 1
+        elif i < n and D[i][j] == 1 + D[i + 1][j]:
+            ops.append(("del", i, None))
+            i += 1
+        else:
+            ops.append(("ins", i - 1, j))
+            j += 1
+    return ops
+
+
 def labels_of(text_src, text_tgt):
     pair = SentencePair(tokenize(text_src), tokenize(text_tgt))
     return extract_labels(pair)
@@ -89,6 +136,65 @@ def test_extract_matches_brute_force_cost():
         ops = align_ops(src, tgt)
         cost = sum(1 for op in ops if op[0] != "match")
         assert cost == brute_force_distance(src, tgt)
+
+
+def _assert_alignment_matches_reference(src, tgt):
+    ops = align_ops(src, tgt)
+    assert ops == reference_align_ops(src, tgt)
+    assert edit_distance(src, tgt) == sum(1 for op in ops
+                                          if op[0] != "match")
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=12),
+       st.lists(st.sampled_from(["a", "b", "c"]), max_size=12),
+       st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_align_ops_equals_reference_hypothesis(src, tgt, sentinel):
+    # three symbols force many equal-cost ties
+    if sentinel:
+        src, tgt = [SENTINEL, *src], [SENTINEL, *tgt]
+    _assert_alignment_matches_reference(tuple(src), tuple(tgt))
+
+
+def test_align_ops_equals_reference_across_word_boundaries():
+    # 60-200 tokens a side: the bit vectors span several machine words
+    rng = np.random.default_rng(17)
+    vocab = ["a", "b", "c", "d"]
+    for _ in range(12):
+        n, m = rng.integers(60, 201, size=2)
+        src = (SENTINEL, *(vocab[i] for i in rng.integers(0, 4, n - 1)))
+        tgt = (SENTINEL, *(vocab[i] for i in rng.integers(0, 4, m - 1)))
+        _assert_alignment_matches_reference(src, tgt)
+    pairs = corrupt_corpus(generate_clean_corpus(40, rng), rate=0.3, rng=rng)
+    long_src = tuple(t for p in pairs for t in p.source)
+    long_tgt = tuple(t for p in pairs for t in p.target)
+    assert len(long_src) > 200
+    _assert_alignment_matches_reference(long_src, long_tgt)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 150])
+def test_align_ops_identical_and_disjoint_pairs(n):
+    same = tuple(f"w{k}" for k in range(n))
+    other = tuple(f"x{k}" for k in range(n))
+    assert align_ops(same, same) == [("match", k, k) for k in range(n)]
+    assert edit_distance(same, same) == 0
+    assert align_ops(same, other) == [("sub", k, k) for k in range(n)]
+    assert edit_distance(same, other) == n
+    for src, tgt in [(same, other), (same, other[:n // 2]),
+                     (same[:n // 3], other), (same, ()), ((), other)]:
+        _assert_alignment_matches_reference(src, tgt)
+
+
+def test_edit_distance_matches_brute_force():
+    rng = np.random.default_rng(1)
+    vocab = ["a", "b", "c"]
+    for _ in range(300):
+        src = tuple(vocab[i] for i in rng.integers(0, 3, rng.integers(0, 13)))
+        tgt = tuple(vocab[i] for i in rng.integers(0, 3, rng.integers(0, 13)))
+        distance = edit_distance(src, tgt)
+        assert distance == brute_force_distance(src, tgt)
+        assert distance == sum(1 for op in align_ops(src, tgt)
+                               if op[0] != "match")
 
 
 def test_apply_all_keep_identity():
