@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from .corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
     read_parallel_tsv, tokenize, write_parallel_tsv
 from .errors import GstError
-from .inference import CorrectionTrace, InferenceConfig, correct, \
-    correct_sentence
+from .inference import CorrectionTrace, InferenceConfig, correct
 from .labels import Kind, LabelSequence, LabelVocab, TransformLabel, \
     apply_labels, extract_labels, format_label, \
     measure_error_rate, parse_label
@@ -28,7 +27,7 @@ __all__ = [
     "SENTINEL", "SentencePair", "TokenVocab", "detokenize",
     "read_parallel_tsv", "tokenize", "write_parallel_tsv",
     "GstError", "CorrectionTrace", "InferenceConfig", "correct",
-    "correct_sentence", "Kind", "LabelSequence", "LabelVocab",
+    "Kind", "LabelSequence", "LabelVocab",
     "TransformLabel", "apply_labels", "extract_labels",
     "format_label", "measure_error_rate", "parse_label", "GecModel",
     "ModelConfig", "TokenDistributions", "SamplingConfig", "SamplingMode",

@@ -60,6 +60,11 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         extra = cfg_doc["extra"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CheckpointFormatError(f"invalid config document: {exc}") from exc
+    # the labels are parsed on first use, so their type is checked here
+    for name, entries in (("tokens", tokens), ("labels", labels)):
+        if not (isinstance(entries, list)
+                and all(isinstance(e, str) for e in entries)):
+            raise CheckpointFormatError(f"{name} must be a list of strings")
     try:
         cfg = ModelConfig(**model_kwargs)
         token_vocab = TokenVocab(tokens)

@@ -25,12 +25,12 @@ from .corpus import detokenize, read_parallel_tsv, read_sentences, \
     write_labeled_tsv
 from .errors import ConfigError, GstError, ParseError
 from .inference import InferenceConfig, correct
-from .labels import extract_labels, format_label
-from .model import GecModel
+from .labels import extract_labels
+from .model import GecModel, ModelConfig
 from .sampling import SamplingConfig, SamplingMode
 from .scoring import score_corpus
-from .training import TrainingConfig, build_vocabs, mean_error_rate, \
-    metrics_csv, run_gst, synthesize_dataset, synthetic_tsv_rows
+from .training import PAIRINGS, TrainingConfig, build_vocabs, \
+    mean_error_rate, metrics_csv, run_gst, synthesize_dataset
 
 
 def _settings(args) -> dict[str, str]:
@@ -52,33 +52,30 @@ def _write_manifest(output, args) -> None:
 
 
 def _add_sampling_args(p):
-    p.add_argument("--pairing", choices=("realign", "literal"),
-                   default="realign")
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--pairing", choices=PAIRINGS,
+                   default=TrainingConfig.synthesis_pairing)
+    p.add_argument("--gamma", type=float, default=TrainingConfig.gamma)
+    p.add_argument("--beta", type=float, default=TrainingConfig.beta)
+    p.add_argument("--tau", type=float, default=SamplingConfig.tau)
     p.add_argument("--sampling", choices=[m.value for m in SamplingMode],
-                   default="gumbel")
-    p.add_argument("--seed", type=int, default=0)
+                   default=SamplingConfig.mode.value)
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
 
 
 def _add_model_args(p):
-    p.add_argument("--dim", type=int, default=128)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=128)
-    p.add_argument("--dropout", type=float, default=0.0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--dim", type=int, default=ModelConfig.dim)
+    p.add_argument("--layers", type=int, default=ModelConfig.layers)
+    p.add_argument("--heads", type=int, default=ModelConfig.heads)
+    p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--lr", type=float, default=TrainingConfig.lr)
+    p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
 
 
 def cmd_align(args) -> int:
     pairs = read_parallel_tsv(args.input)
-    rows = []
-    for pair in pairs:
-        labels = extract_labels(pair)
-        rows.append((pair.source, [format_label(lab) for lab in labels]))
-    write_labeled_tsv(rows, args.output)
+    write_labeled_tsv(((p.source, extract_labels(p)) for p in pairs),
+                      args.output)
     _write_manifest(args.output, args)
     return 0
 
@@ -183,7 +180,7 @@ def cmd_synthesize(args) -> int:
     gold = [extract_labels(p) for p in pairs]
     synthetic = synthesize_dataset(model, pairs, gold, stage=0, cfg=cfg,
                                    base_seed=args.seed)
-    write_labeled_tsv(synthetic_tsv_rows(synthetic), args.out)
+    write_labeled_tsv(((s.source, s.labels) for s in synthetic), args.out)
     _write_manifest(args.out, args)
     print(f"synthesized {len(synthetic)} of {len(pairs)} sentences, "
           f"mean label error rate {mean_error_rate(synthetic):.4f}")
@@ -213,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stages", type=int, default=5)
         else:
             p.set_defaults(stages=1)
-        p.add_argument("--heldout", default="")
-        p.add_argument("--heldout-frac", type=float, default=0.0)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--heldout", default="")
+        group.add_argument("--heldout-frac", type=float, default=0.0)
         _add_sampling_args(p)
         _add_model_args(p)
         p.set_defaults(func=cmd_train)
@@ -223,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--max-iters", type=int, default=5)
+    p.add_argument("--gamma", type=float, default=InferenceConfig.gamma)
+    p.add_argument("--beta", type=float, default=InferenceConfig.beta)
+    p.add_argument("--max-iters", type=int, default=InferenceConfig.max_iters)
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_correct)
 

@@ -40,20 +40,26 @@ class SentencePair:
     target: TokenSeq
 
 
-def _tsv_rows(path):
-    """Yield (line number, left, right) for each non-empty line of a
-    two-column TSV file."""
+def _lines(path):
+    """Yield (line number, line) for each non-empty line of a text
+    file, without its newline."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.count("\t") != 1:
-                raise ParseError(
-                    f"expected exactly one tab, found {line.count(chr(9))}",
-                    path=path, line=lineno)
-            left, right = line.split("\t")
-            yield lineno, left, right
+            if line:
+                yield lineno, line
+
+
+def _tsv_rows(path):
+    """Yield (line number, left, right) for each non-empty line of a
+    two-column TSV file."""
+    for lineno, line in _lines(path):
+        if line.count("\t") != 1:
+            raise ParseError(
+                f"expected exactly one tab, found {line.count(chr(9))}",
+                path=path, line=lineno)
+        left, right = line.split("\t")
+        yield lineno, left, right
 
 
 def read_parallel_tsv(path) -> list[SentencePair]:
@@ -83,21 +89,15 @@ def read_labeled_tsv(path) -> list[tuple[TokenSeq, list[str]]]:
 
 
 def write_labeled_tsv(rows, path) -> None:
-    """Write (tokens, label strings) rows in the cache format."""
+    """Write (tokens, labels) rows in the cache format, labels by str()."""
     with open(path, "w", encoding="utf-8") as fh:
-        for tokens, label_strs in rows:
-            fh.write(f"{detokenize(tokens)}\t{' '.join(label_strs)}\n")
+        for tokens, labels in rows:
+            fh.write(f"{detokenize(tokens)}\t{' '.join(map(str, labels))}\n")
 
 
 def read_sentences(path) -> list[TokenSeq]:
     """One tokenized sentence per non-empty line."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                out.append(tokenize(line))
-    return out
+    return [tokenize(line) for _, line in _lines(path)]
 
 
 def write_sentences(sentences, path) -> None:

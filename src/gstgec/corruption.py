@@ -21,9 +21,8 @@ _ARTICLES = {"a", "an", "the", "A", "An", "The"}
 def _flip_case(token: str) -> str | None:
     if not token or not token[0].isalpha():
         return None
-    if token[0].isupper():
-        return token[0].lower() + token[1:]
-    return token[0].upper() + token[1:]
+    return morph.apply_case(
+        token, "LOW_FIRST" if token[0].isupper() else "UP_FIRST")
 
 
 def _applicable(token: str, rules) -> list[str]:

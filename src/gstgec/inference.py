@@ -104,8 +104,3 @@ def correct(model: GecModel, sentence: TokenSeq,
         cur = new
     trace.final = cur
     return trace
-
-
-def correct_sentence(model: GecModel, sentence: TokenSeq,
-                     config: InferenceConfig) -> TokenSeq:
-    return correct(model, sentence, config).final

@@ -98,13 +98,18 @@ def multinomial(probs, rng: np.random.Generator) -> np.ndarray:
     return np.minimum(hits, cdf.shape[-1] - 1)
 
 
-def keep_biased_ids(rows, beta: float) -> np.ndarray:
-    """Per-row argmax over the last axis after adding beta to the keep
-    entry (no renormalization; only the argmax is consumed, so the
-    unnormalized sum is harmless)."""
+def _keep_biased(rows, beta: float) -> np.ndarray:
+    """A float64 copy of rows (..., V) with beta added to column 0."""
     rows = np.array(rows, dtype=np.float64)
     rows[..., 0] += beta
-    return rows.argmax(axis=-1)
+    return rows
+
+
+def keep_biased_ids(rows, beta: float) -> np.ndarray:
+    """Per-row argmax over the last axis after adding beta to the keep
+    entry (only the argmax is consumed, so the unnormalized sum is
+    harmless)."""
+    return _keep_biased(rows, beta).argmax(axis=-1)
 
 
 def sample_ids(rows, config: SamplingConfig, beta: float,
@@ -116,9 +121,7 @@ def sample_ids(rows, config: SamplingConfig, beta: float,
         noise = sample_gumbel(np.shape(rows), rng)
         return keep_biased_ids(relax_with_noise(rows, noise, config.tau), beta)
     if config.mode is SamplingMode.MULTINOMIAL:
-        rows = np.array(rows, dtype=np.float64)
-        rows[..., 0] += beta
-        return multinomial(rows, rng)
+        return multinomial(_keep_biased(rows, beta), rng)
     if config.mode is SamplingMode.RANDOM:
         return rng.integers(np.shape(rows)[-1], size=np.shape(rows)[:-1])
     raise ValueError(f"unknown sampling mode {config.mode!r}")

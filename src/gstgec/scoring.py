@@ -65,11 +65,11 @@ class ScoreReport:
                 f"{self.recall:.4f},{self.f_half:.4f}")
 
 
-def f_beta(p: float, r: float, beta: float = 0.5) -> float:
-    """Weighted F-measure on the percent scale."""
+def f_beta(p: float, r: float) -> float:
+    """F0.5, the weighted F-measure of GEC, on the percent scale."""
     if p == 0 and r == 0:
         return 0.0
-    b2 = beta * beta
+    b2 = 0.25  # beta = 0.5, squared
     return (1 + b2) * p * r / (b2 * p + r)
 
 

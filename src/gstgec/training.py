@@ -23,14 +23,15 @@ import numpy as np
 
 from .corpus import SentencePair, TokenSeq, TokenVocab
 from .errors import ConfigError
-from .inference import InferenceConfig, check_gate, correct_sentence, \
+from .inference import InferenceConfig, check_gate, correct, \
     sentence_error_score
-from .labels import KEEP, LENGTH_PRESERVING_KINDS, LabelSequence, \
-    LabelVocab, apply_labels, extract_labels, format_label, \
-    measure_error_rate
+from .labels import LabelSequence, LabelVocab, apply_labels, \
+    extract_labels, measure_error_rate
 from .model import AdamState, GecModel, adam_step, loss_and_grads
 from .sampling import SamplingConfig, sample_ids
 from .scoring import ScoreReport, score_corpus
+
+PAIRINGS = ("realign", "literal")  # synthetic labels: re-extracted, or gold
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class TrainingConfig:
     gamma: float = 0.5
     beta: float = 0.0
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    synthesis_pairing: str = "realign"  # or "literal"
+    synthesis_pairing: str = PAIRINGS[0]
     lr: float = 1e-3
     batch_size: int = 16
     seed: int = 0
@@ -48,8 +49,9 @@ class TrainingConfig:
     def __post_init__(self):
         if self.stages < 1 or self.epochs_per_stage < 1:
             raise ConfigError("stages and epochs_per_stage must be >= 1")
-        if self.synthesis_pairing not in ("realign", "literal"):
-            raise ConfigError("synthesis_pairing must be realign or literal")
+        if self.synthesis_pairing not in PAIRINGS:
+            raise ConfigError("synthesis_pairing must be "
+                              + " or ".join(PAIRINGS))
         check_gate(self.gamma, self.beta)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
@@ -143,12 +145,11 @@ def synthesize_example(model: GecModel, pair: SentencePair,
     rows[0] *= vocab.sentinel_mask
     rows /= rows.sum(axis=-1, keepdims=True)
     ids = sample_ids(rows, cfg.sampling, cfg.beta, rng)
-    sampled = vocab.decode(ids.tolist())
     if literal:
         # the random baseline ignores the masks, so its draws are
         # checked against them here
-        sampled = [lab if lab.kind in LENGTH_PRESERVING_KINDS else KEEP
-                   for lab in sampled]
+        ids[~vocab.length_preserving_mask[ids]] = 0
+    sampled = vocab.decode(ids.tolist())
     synthetic_source = apply_labels(pair.source, sampled)
     if synthetic_source == pair.source:
         return SyntheticExample(pair.source, gold_labels, origin_index)
@@ -187,7 +188,7 @@ def evaluate_model(model: GecModel, pairs,
                    infer_cfg: InferenceConfig) -> ScoreReport:
     sources = [p.source for p in pairs]
     references = [p.target for p in pairs]
-    hypotheses = [correct_sentence(model, s, infer_cfg) for s in sources]
+    hypotheses = [correct(model, s, infer_cfg).final for s in sources]
     return score_corpus(sources, hypotheses, references)
 
 
@@ -243,8 +244,3 @@ def metrics_csv(metrics: list[StageMetrics]) -> str:
                 tail = ",,"
             lines.append(f"{m.stage},{epoch},{loss:.6f},{tail}")
     return "\n".join(lines) + "\n"
-
-
-def synthetic_tsv_rows(examples: list[SyntheticExample]):
-    for ex in examples:
-        yield ex.source, [format_label(lab) for lab in ex.labels]

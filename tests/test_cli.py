@@ -238,6 +238,7 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["synthesize", "--sampling", "multinomial", "--beta", "inf"],
     ["correct", "--gamma", "inf"],
     ["train", "--lr", "inf"],
+    ["train", "--heldout", "h.tsv", "--heldout-frac", "0.5"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")
@@ -248,7 +249,11 @@ def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     else:
         files = ["--model", missing, "--data", missing,
                  "--out", str(tmp_path / "s.tsv")]
-    assert main([*argv, *files]) == 2
+    try:
+        code = main([*argv, *files])
+    except SystemExit as exc:  # argparse exits itself on a flag conflict
+        code = exc.code
+    assert code == 2
 
 
 def test_train_negative_layers_exits_2(tmp_path, capsys):

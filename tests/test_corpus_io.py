@@ -199,6 +199,37 @@ def test_checkpoint_non_integer_model_field_exits_1(tmp_path, capsys, field,
     assert field in err
 
 
+def _set_label(doc, value):
+    doc["labels"][2] = value
+    return doc
+
+
+def _set_token(doc, value):
+    doc["tokens"][-1] = value
+    return doc
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("labels", lambda doc: _set_label(doc, 5)),
+    ("labels", lambda doc: _set_label(doc, None)),
+    ("labels", lambda doc: {**doc, "labels": 5}),
+    ("tokens", lambda doc: {**doc, "tokens": {"$UNK": 0}}),
+    ("tokens", lambda doc: _set_token(doc, 5)),
+], ids=["label-int", "label-null", "labels-int", "tokens-object",
+        "token-int"])
+def test_checkpoint_malformed_vocabulary_exits_1(tmp_path, capsys, field,
+                                                 edit):
+    path = tmp_path / "model.gst"
+    path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
+    _edit_config_document(path, edit)
+    inp = tmp_path / "in.txt"
+    write_sentences([(SENTINEL, "a", "b")], inp)
+    assert main(["correct", "--model", str(path), "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
 @pytest.mark.parametrize("field", ["vocab_size", "num_labels", "dim",
                                    "layers", "heads", "max_len"])
 @pytest.mark.parametrize("value", [2.0, True, "2", None])

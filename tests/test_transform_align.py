@@ -244,6 +244,21 @@ def test_apply_inapplicable_rules_warn():
     assert out2 == src2 and w3
 
 
+@pytest.mark.parametrize("src,tgt", [("well-known", "well known"),
+                                     ("over all", "overall")])
+def test_split_and_merge_round_trip(src, tgt):
+    final, rounds = correct_iteratively(tokenize(src), tokenize(tgt))
+    assert final == tokenize(tgt) and rounds == 1
+
+
+def test_apply_sentinel_delete_warns_and_keeps():
+    src = tokenize("a")
+    out, warnings = apply_labels_with_warnings(
+        src, [TransformLabel(Kind.DEL), KEEP])
+    assert out == src
+    assert warnings == ["pos 0: $DEL not allowed on sentinel"]
+
+
 def test_measure_error_rate():
     assert measure_error_rate([KEEP, KEEP, KEEP]) == 0.0
     labs = [KEEP, TransformLabel(Kind.DEL), TransformLabel(Kind.DEL), KEEP]
