@@ -39,8 +39,11 @@ def experiment(stages, epochs, label):
                          infer_cfg=infer_cfg)
     print(f"\n{label}:")
     for m in metrics:
+        # the synthetic pairs this stage trained on, sampled by the model
+        # the previous stage left (none in stage 1)
         print(f"  stage {m.stage}: loss {m.epoch_losses[-1]:.4f}  "
-              f"heldout {m.eval.text()}  synthesized {m.synthetic_count}")
+              f"heldout {m.eval.text()}  "
+              f"trained on {m.synthetic_count} synthetic")
     return metrics[-1].eval.f_half
 
 

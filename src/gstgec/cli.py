@@ -5,7 +5,8 @@ synthesize.  A command that writes an output file writes a manifest
 next to it, recording every parsed option of the subcommand; re-running
 from the same manifest reproduces the outputs bit-exactly.  Settings
 are checked by the config dataclasses, which each subcommand builds
-before it reads any input.
+before it reads any input; the directory of every output is checked
+then too.
 
 Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint),
 2 usage or config error (a bad flag or an out-of-range setting).
@@ -51,14 +52,18 @@ def _write_manifest(output, args) -> None:
                                                encoding="utf-8")
 
 
-def _add_sampling_args(p):
-    p.add_argument("--pairing", choices=PAIRINGS,
-                   default=TrainingConfig.synthesis_pairing)
+def _add_sampling_args(p, synthesis: bool):
+    """The gate, keep bias and seed, plus with synthesis the options that
+    only synthesis reads: --pairing, --tau and --sampling."""
+    if synthesis:
+        p.add_argument("--pairing", choices=PAIRINGS,
+                       default=TrainingConfig.synthesis_pairing)
     p.add_argument("--gamma", type=float, default=TrainingConfig.gamma)
     p.add_argument("--beta", type=float, default=TrainingConfig.beta)
-    p.add_argument("--tau", type=float, default=SamplingConfig.tau)
-    p.add_argument("--sampling", choices=[m.value for m in SamplingMode],
-                   default=SamplingConfig.mode.value)
+    if synthesis:
+        p.add_argument("--tau", type=float, default=SamplingConfig.tau)
+        p.add_argument("--sampling", choices=[m.value for m in SamplingMode],
+                       default=SamplingConfig.mode.value)
     p.add_argument("--seed", type=int, default=TrainingConfig.seed)
 
 
@@ -73,6 +78,7 @@ def _add_model_args(p):
 
 
 def cmd_align(args) -> int:
+    _check_output_dir(args.output)
     pairs = read_parallel_tsv(args.input)
     write_labeled_tsv(((p.source, extract_labels(p)) for p in pairs),
                       args.output)
@@ -81,17 +87,27 @@ def cmd_align(args) -> int:
 
 
 def _training_config(args) -> TrainingConfig:
-    """The config of train, gst and synthesize; synthesize parses no
-    training options, so they keep their defaults there."""
-    train = {}
+    """The config of train, gst and synthesize.  train parses no
+    synthesis options and synthesize no training options; what a
+    subcommand does not parse keeps its TrainingConfig default."""
+    options = dict(gamma=args.gamma, beta=args.beta, seed=args.seed)
+    if args.command != "train":
+        options.update(
+            sampling=SamplingConfig(mode=SamplingMode(args.sampling),
+                                    tau=args.tau, seed=args.seed),
+            synthesis_pairing=args.pairing)
     if args.command != "synthesize":
-        train = dict(stages=args.stages, epochs_per_stage=args.epochs,
-                     lr=args.lr, batch_size=args.batch_size)
-    return TrainingConfig(
-        gamma=args.gamma, beta=args.beta,
-        sampling=SamplingConfig(mode=SamplingMode(args.sampling),
-                                tau=args.tau, seed=args.seed),
-        synthesis_pairing=args.pairing, seed=args.seed, **train)
+        options.update(stages=args.stages, epochs_per_stage=args.epochs,
+                       lr=args.lr, batch_size=args.batch_size)
+    return TrainingConfig(**options)
+
+
+def _check_output_dir(path) -> None:
+    """Fail before any input is read when an output cannot be written
+    for want of its directory."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise GstError(f"cannot write {path}: no directory {parent}")
 
 
 def _read_pairs(path) -> list:
@@ -108,6 +124,7 @@ def cmd_train(args) -> int:
     cfg = _training_config(args)
     if not 0 <= args.heldout_frac < 1:
         raise ConfigError("heldout_frac must be in [0, 1)")
+    _check_output_dir(args.out)
     pairs = _read_pairs(args.data)
     heldout = None
     if args.heldout:
@@ -145,6 +162,8 @@ def cmd_train(args) -> int:
 def cmd_correct(args) -> int:
     icfg = InferenceConfig(gamma=args.gamma, beta=args.beta,
                            max_iters=args.max_iters)
+    if args.output:
+        _check_output_dir(args.output)
     model, _ = load_checkpoint(args.model)
     sentences = read_sentences(args.input)
     out_lines = []
@@ -175,6 +194,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _training_config(args)
+    _check_output_dir(args.out)
     model, _ = load_checkpoint(args.model)
     pairs = _read_pairs(args.data)
     gold = [extract_labels(p) for p in pairs]
@@ -199,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_align)
 
-    for name, helptext in (("train", "baseline training (single stage, no "
-                            "synthesis)"),
+    for name, helptext in (("train", "baseline training: one stage on the "
+                            "genuine pairs, no synthesis"),
                            ("gst", "staged training with self-synthesis")):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--data", required=True)
@@ -213,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--heldout", default="")
         group.add_argument("--heldout-frac", type=float, default=0.0)
-        _add_sampling_args(p)
+        _add_sampling_args(p, synthesis=name == "gst")
         _add_model_args(p)
         p.set_defaults(func=cmd_train)
 
@@ -238,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_sampling_args(p)
+    _add_sampling_args(p, synthesis=True)
     p.set_defaults(func=cmd_synthesize)
     return parser
 

@@ -1,13 +1,16 @@
 """Staged training with per-stage self-synthesis of errorful data.
 
-A run consists of N stages.  Each stage trains M epochs on the genuine
-pairs plus whatever synthetic pairs the previous stage produced, then
-rebuilds the synthetic set from scratch: for every genuine source whose
-summed error probability clears the sentence gate, one corrective label
-per position is sampled from the keep-biased labeling distribution and
-applied, manufacturing a new errorful variant of that sentence.  Raising
-the keep confidence lowers the error rate of the synthesized data;
-raising the gate shrinks how much of the corpus is synthesized from.
+A run consists of N stages of M epochs each.  Stage 1 trains on the
+genuine pairs alone.  Every later stage first lets the model the
+previous stage left behind build a fresh synthetic set, then trains on
+the genuine pairs plus that set: for every genuine source whose summed
+error probability clears the sentence gate, one corrective label per
+position is sampled from the keep-biased labeling distribution and
+applied, manufacturing a new errorful variant of that sentence.  No set
+is built after the last stage, since nothing would train on it.
+Raising the keep confidence lowers the error rate of the synthesized
+data; raising the gate shrinks how much of the corpus is synthesized
+from.
 
 Synthesis samples a whole sentence at once: the label rows are masked
 with the label vocabulary's precomputed kind masks, and one
@@ -22,12 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import SentencePair, TokenSeq, TokenVocab
-from .errors import ConfigError
+from .errors import ConfigError, GstError, NonFiniteGradientError
 from .inference import InferenceConfig, check_gate, correct, \
     sentence_error_score
 from .labels import LabelSequence, LabelVocab, apply_labels, \
     extract_labels, measure_error_rate
-from .model import AdamState, GecModel, adam_step, loss_and_grads
+from .model import AdamState, GecModel, adam_step, loss_and_grads, \
+    loss_only
 from .sampling import SamplingConfig, sample_ids
 from .scoring import ScoreReport, score_corpus
 
@@ -75,6 +79,8 @@ class SyntheticExample:
 
 @dataclass
 class StageMetrics:
+    """One stage's epoch losses, held-out score and the synthetic set it
+    trained on (empty in stage 1)."""
     stage: int
     epoch_losses: list[float]
     eval: ScoreReport | None
@@ -192,15 +198,29 @@ def evaluate_model(model: GecModel, pairs,
     return score_corpus(sources, hypotheses, references)
 
 
+def _diverged(stage: int, epoch: int, what) -> GstError:
+    return GstError(f"training diverged in stage {stage}, epoch {epoch}: "
+                    f"{what}")
+
+
 def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
             heldout_pairs=None,
             infer_cfg: InferenceConfig | None = None,
             ) -> tuple[GecModel, list[StageMetrics]]:
-    """The full staged loop: train, evaluate, resynthesize, repeat.
+    """The full staged loop: synthesize, train, evaluate, repeat.
 
-    Stage 1 starts from the supplied model; later stages warm-start from
-    the previous stage's parameters.  With a single stage this is
-    exactly baseline training and no synthetic data is ever consumed.
+    Stage 1 starts from the supplied model and trains on the genuine
+    pairs alone; each later stage warm-starts from the previous stage's
+    parameters, which first synthesize the set that stage trains on.
+    The set synthesized after stage s is keyed by (seed, s, index), and
+    nothing is synthesized after the last stage, so a single stage is
+    exactly baseline training.  A stage's metrics count the synthetic
+    set it trained on.
+
+    Training that diverges raises GstError naming the stage and epoch:
+    a non-finite loss in an epoch makes a non-finite gradient, which
+    adam_step rejects, and after each stage the first genuine
+    mini-batch must still have a finite loss under the final weights.
     """
     if infer_cfg is None:
         infer_cfg = InferenceConfig(gamma=cfg.gamma, beta=cfg.beta)
@@ -208,22 +228,38 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
     genuine = [prepare_example(p.source, lab, model.token_vocab,
                                model.label_vocab)
                for p, lab in zip(genuine_pairs, gold_labels)]
+    probe = genuine[:cfg.batch_size]
     epoch_rng = np.random.default_rng((cfg.seed, 0xE))
     opt_state = AdamState()
-    synthetic: list[SyntheticExample] = []
     metrics: list[StageMetrics] = []
     for stage in range(1, cfg.stages + 1):
+        synthetic: list[SyntheticExample] = []
+        if stage > 1:
+            synthetic = synthesize_dataset(model, genuine_pairs, gold_labels,
+                                           stage - 1, cfg, cfg.seed)
         dataset = genuine + [
             prepare_example(s.source, s.labels, model.token_vocab,
                             model.label_vocab)
             for s in synthetic]
-        losses = [train_epoch(model, dataset, cfg, opt_state, epoch_rng)
-                  for _ in range(cfg.epochs_per_stage)]
+        losses = []
+        for epoch in range(1, cfg.epochs_per_stage + 1):
+            try:
+                losses.append(train_epoch(model, dataset, cfg, opt_state,
+                                          epoch_rng))
+            except NonFiniteGradientError as exc:
+                raise _diverged(stage, epoch, exc) from exc
+        # an epoch's loss predates its last step; only a forward pass
+        # under the new weights shows whether that step blew them up
+        with np.errstate(all="ignore"):
+            after = loss_only(model.params, [ex.src_ids for ex in probe],
+                              [ex.label_ids for ex in probe], model.cfg)
+        if not np.isfinite(after):
+            raise _diverged(stage, cfg.epochs_per_stage,
+                            f"loss {after} on a genuine mini-batch under "
+                            "the updated weights")
         evaluation = None
         if heldout_pairs:
             evaluation = evaluate_model(model, heldout_pairs, infer_cfg)
-        synthetic = synthesize_dataset(model, genuine_pairs, gold_labels,
-                                       stage, cfg, cfg.seed)
         metrics.append(StageMetrics(stage, losses, evaluation,
                                     len(synthetic),
                                     mean_error_rate(synthetic)))

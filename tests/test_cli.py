@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gstgec import cli, training
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.cli import build_parser, main
 from gstgec.corpus import SENTINEL, TokenVocab, detokenize, \
@@ -102,11 +103,43 @@ def test_gst_random_sampling_runs_and_logs_mode(tmp_path):
     assert main(["gst", "--data", str(data), "--out", str(out),
                  "--stages", "2", "--sampling", "random", "--gamma", "0.0",
                  "--seed", "1", *TINY_MODEL_ARGS]) == 0
-    manifest = (tmp_path / "m.gst.manifest").read_text()
-    assert "sampling = random" in manifest
-    assert "seed = 1" in manifest
+    manifest = read_manifest(tmp_path / "m.gst.manifest")
+    assert manifest["sampling"] == "random"
+    assert manifest["seed"] == "1"
+    assert SYNTHESIS_OPTIONS <= manifest.keys()
     assert (tmp_path / "m.gst.metrics.csv").read_text().startswith(
         "stage,epoch,train_loss")
+
+
+SYNTHESIS_OPTIONS = {"pairing", "tau", "sampling"}
+
+
+def test_train_never_synthesizes(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("train synthesized")
+
+    monkeypatch.setattr(training, "synthesize_dataset", refuse)
+    data, _ = toy_training_files(tmp_path, n=10)
+    assert main(["train", "--data", str(data), "--out",
+                 str(tmp_path / "m.gst"), *TINY_MODEL_ARGS]) == 0
+
+
+@pytest.mark.parametrize("epochs", ["1", "2"])
+def test_diverged_training_exits_1_naming_stage_and_epoch(tmp_path, capsys,
+                                                          epochs):
+    # one step at this rate leaves finite weights (about 1e30) after a
+    # finite loss; their forward pass, and a second epoch's gradient, are
+    # not finite
+    data = tmp_path / "one.tsv"
+    write_pairs_file(data, PAIR_LINES[:1])
+    out = tmp_path / "m.gst"
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(data), "--out", str(out),
+                     "--lr", "1e30", "--epochs", epochs])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"training diverged in stage 1, epoch {epochs}" in err
+    assert not out.exists()
 
 
 def test_train_missing_data_flag_exits_2(tmp_path, capsys):
@@ -239,6 +272,10 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["correct", "--gamma", "inf"],
     ["train", "--lr", "inf"],
     ["train", "--heldout", "h.tsv", "--heldout-frac", "0.5"],
+    # train synthesizes nothing, so it takes no synthesis option
+    ["train", "--sampling", "random"],
+    ["train", "--pairing", "literal"],
+    ["train", "--tau", "0.5"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")
@@ -332,8 +369,11 @@ def test_manifests_record_every_parsed_option(tmp_path):
     manifest = read_manifest(Path(str(ckpt) + ".manifest"))
     assert manifest["lr"] == "0.002"
     assert manifest["stages"] == "1"
+    assert not SYNTHESIS_OPTIONS & manifest.keys()
     _, extra = load_checkpoint(ckpt)
     assert extra == parsed_options(runs[0][0])
+    manifest = read_manifest(tmp_path / "syn.tsv.manifest")
+    assert SYNTHESIS_OPTIONS <= manifest.keys()
 
 
 def test_unparseable_checkpoint_label_exits_1(tmp_path, capsys):
@@ -384,3 +424,35 @@ def test_one_pair_left_to_the_heldout_split_exits_1(tmp_path, capsys):
                  *TINY_MODEL_ARGS])
     assert code == 1
     assert "held-out split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["align", "--input", "{missing}", "--output", "{out}"],
+    ["train", "--data", "{missing}", "--out", "{out}"],
+    ["gst", "--data", "{missing}", "--out", "{out}"],
+    ["correct", "--model", "{missing}", "--input", "{missing}",
+     "--output", "{out}"],
+    ["synthesize", "--model", "{missing}", "--data", "{missing}",
+     "--out", "{out}"],
+])
+def test_missing_output_directory_exits_1_before_reading_inputs(
+        tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "result"
+    names = {"missing": str(tmp_path / "missing"), "out": str(out)}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_gst_missing_output_directory_exits_1_before_training(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gst trained with nowhere to save")
+
+    monkeypatch.setattr(cli, "run_gst", refuse)
+    data, _ = toy_training_files(tmp_path, n=10)
+    out = tmp_path / "missing" / "m.gst"
+    assert main(["gst", "--data", str(data), "--out", str(out),
+                 *TINY_MODEL_ARGS]) == 1
+    assert str(out) in capsys.readouterr().err

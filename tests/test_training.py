@@ -160,7 +160,7 @@ def test_run_gst_trains_synthesizes_and_evaluates_past_the_window(
                          heldout_pairs=long_pairs)
     assert all(np.isfinite(m.epoch_losses).all() for m in metrics)
     assert all(m.eval is not None for m in metrics)
-    assert metrics[0].synthetic_count == len(pairs) + 2
+    assert metrics[1].synthetic_count == len(pairs) + 2
 
 
 def test_synthetic_error_rate_monotone_in_beta(toy_model, toy_pairs):
@@ -219,8 +219,31 @@ def test_run_gst_beta_dominance_duplicates_genuine():
                          lr=1e-3, seed=21)
     _, metrics = run_gst(model, pairs, cfg)
     assert len(metrics) == 2
-    # every genuine sentence was resynthesized as an exact duplicate
-    assert metrics[0].synthetic_count == len(pairs)
+    # stage 2 trained on every genuine sentence resynthesized as an exact
+    # duplicate
+    assert metrics[1].synthetic_count == len(pairs)
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_run_gst_synthesizes_before_each_later_stage(monkeypatch, stages):
+    pairs, model = small_run_setup(n=12)
+    calls = []
+    inner = training.synthesize_dataset
+
+    def counting(model, pairs, gold, stage, cfg, base_seed):
+        calls.append((stage, inner(model, pairs, gold, stage, cfg,
+                                   base_seed)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(training, "synthesize_dataset", counting)
+    cfg = TrainingConfig(stages=stages, gamma=0.0, lr=1e-3, seed=3)
+    _, metrics = run_gst(model, pairs, cfg)
+    # the model left by stage s synthesizes, keyed by s, what stage s + 1
+    # trains on; nothing is built after the last stage
+    assert [stage for stage, _ in calls] == list(range(1, stages))
+    assert [m.synthetic_count for m in metrics] == [0] + [
+        len(syn) for _, syn in calls]
+    assert metrics[0].synthetic_error_rate == 0.0
 
 
 def test_run_gst_metrics_and_csv():
