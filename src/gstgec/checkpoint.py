@@ -4,12 +4,15 @@ Layout: magic bytes ``GST1``, a little-endian u32 byte length, a UTF-8
 JSON config document (model hyperparameters, token vocabulary, label
 vocabulary, and any extra run settings), then the weight arrays as flat
 little-endian floats of the model's dtype (float32 or float64) in
-declared parameter order.
+declared parameter order.  That weight region is the bytes of the
+model's one parameter vector: saving writes it at once, and loading
+reads it back with one frombuffer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -18,12 +21,20 @@ from .corpus import TokenVocab
 from .errors import BadMagicError, CheckpointFormatError, \
     TruncatedCheckpointError
 from .labels import LabelVocab
-from .model import GecModel, ModelConfig, param_shapes
+from .model import GecModel, ModelConfig, flat_params, param_shapes, \
+    param_views
 
 MAGIC = b"GST1"
 
 
 def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
+    """Writes model, packing its parameters first if they are not views
+    of one vector (see model.flat_params)."""
+    shapes = list(param_shapes(model.cfg).items())
+    if [(k, a.shape) for k, a in model.params.items()] != shapes:
+        raise ValueError("parameters are not the config's, in its order")
+    flat = flat_params(model.params)
+    stored = np.dtype(model.cfg.dtype).newbyteorder("<")
     cfg_doc = {
         "model": {k: v for k, v in asdict(model.cfg).items()},
         "tokens": model.token_vocab.tokens,
@@ -35,10 +46,7 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
         fh.write(MAGIC)
         fh.write(np.uint32(len(blob)).astype("<u4").tobytes())
         fh.write(blob)
-        stored = np.dtype(model.cfg.dtype).newbyteorder("<")
-        for name in param_shapes(model.cfg):
-            fh.write(np.ascontiguousarray(
-                model.params[name], dtype=stored).tobytes())
+        fh.write(flat.astype(stored, copy=False).tobytes())
 
 
 def load_checkpoint(path) -> tuple[GecModel, dict]:
@@ -75,18 +83,17 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         raise CheckpointFormatError("config shapes disagree with vocabularies")
 
     stored = np.dtype(cfg.dtype).newbyteorder("<")
-    offset = 8 + blob_len
-    params = {}
-    for name, shape in param_shapes(cfg).items():
-        nbytes = stored.itemsize * int(np.prod(shape))
-        if offset + nbytes > len(data):
+    shapes = param_shapes(cfg)
+    start = end = 8 + blob_len
+    for name, shape in shapes.items():
+        end += stored.itemsize * math.prod(shape)
+        if end > len(data):
             raise TruncatedCheckpointError(
                 f"file ends inside weight array {name!r}")
-        params[name] = np.frombuffer(
-            data[offset:offset + nbytes], dtype=stored).reshape(shape).astype(
-                cfg.dtype)
-        offset += nbytes
-    if offset != len(data):
+    if end != len(data):
         raise CheckpointFormatError(
-            f"{len(data) - offset} trailing bytes after declared arrays")
+            f"{len(data) - end} trailing bytes after declared arrays")
+    flat = np.frombuffer(data, dtype=stored, offset=start,
+                         count=(end - start) // stored.itemsize)
+    params = param_views(flat.astype(cfg.dtype), shapes)
     return GecModel(cfg, params, token_vocab, label_vocab), extra

@@ -12,10 +12,20 @@ padded positions carry zero loss weight.  A token's detection target is
 derived from its label (not keep), and dropout runs only when a
 generator is passed.  Inference runs the same encoder as a batch of one
 with no mask.
+
+A model's parameters are one vector, allocated once in param_shapes
+order; each params[name] is a view of it, and a checkpoint's weight
+region is its bytes.  Adam gathers the gradients into a vector of the
+same layout, keeps its two moments as two more, and updates weights and
+moments in cache-sized chunks.  A dict whose entries are not such
+views (fresh arrays, copies, or an entry a caller replaced) is packed
+into a new vector on its first update or save.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,6 +35,7 @@ from .errors import ConfigError, NonFiniteGradientError
 
 LN_EPS = 1e-5
 ADAM = (0.9, 0.999, 1e-8)  # beta1, beta2, eps
+ADAM_CHUNK = 1 << 15  # elements per update pass: its temporaries stay cached
 
 
 @dataclass(frozen=True)
@@ -97,33 +108,82 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Uniform(-0.1, 0.1) weights; layer-norm gain 1, biases 0."""
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(cfg.dtype)
-    params = {}
-    for name, shape in param_shapes(cfg).items():
-        base = name.split(".")[-1]
-        if base.endswith("_g") and base.startswith("ln"):
-            arr = np.ones(shape)
-        elif base.startswith("b") or base.endswith("_b"):
-            arr = np.zeros(shape)
-        else:
-            arr = rng.uniform(-0.1, 0.1, size=shape)
-        params[name] = arr.astype(dtype)
+def param_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
+    """name -> a view of flat, the arrays back to back in shapes' order."""
+    params, start = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = flat[start:start + size].reshape(shape)
+        start += size
     return params
 
 
+def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+    """Uniform(-0.1, 0.1) weights; layer-norm gain 1, biases 0; all views
+    of one vector."""
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(cfg)
+    flat = np.empty(sum(map(math.prod, shapes.values())), cfg.dtype)
+    params = param_views(flat, shapes)
+    for name, arr in params.items():
+        base = name.split(".")[-1]
+        if base.endswith("_g") and base.startswith("ln"):
+            arr[...] = 1
+        elif base.startswith("b") or base.endswith("_b"):
+            arr[...] = 0
+        else:
+            arr[...] = rng.uniform(-0.1, 0.1, size=arr.shape)
+    return params
+
+
+def _is_laid_out(flat, arrays) -> bool:
+    """Whether arrays are views of flat that tile it back to back."""
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1
+            and flat.flags.c_contiguous):
+        return False
+    start = address = flat.__array_interface__["data"][0]
+    for a in arrays:
+        if (a.base is not flat or a.dtype != flat.dtype
+                or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0] != address):
+            return False
+        address += a.nbytes
+    return address == start + flat.nbytes
+
+
+def flat_params(params: dict) -> np.ndarray:
+    """The vector whose views, in order, are params' entries.
+
+    A dict not laid out so (fresh arrays, copies, or an entry a caller
+    replaced) is packed first: its arrays are copied into a new vector
+    and its entries rebound to views of it.
+    """
+    arrays = list(params.values())
+    flat = arrays[0].base
+    if _is_laid_out(flat, arrays):
+        return flat
+    flat = np.empty(sum(a.size for a in arrays), np.result_type(*arrays))
+    views = param_views(flat, {k: a.shape for k, a in params.items()})
+    for name, view in views.items():
+        view[...] = params[name]
+    params.update(views)
+    return flat
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax, computed in x's buffer: callers pass a temporary."""
+    x -= np.maximum.reduce(x, -1, keepdims=True)
+    np.exp(x, out=x)
+    x /= np.add.reduce(x, -1, keepdims=True)
+    return x
 
 
+# np.add.reduce(...) / d is what .mean computes, without its Python overhead
 def _layer_norm_fwd(x, g, b):
-    mu = x.mean(-1, keepdims=True)
+    d = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
@@ -134,8 +194,10 @@ def _layer_norm_bwd(dy, cache):
     dg = (dy * xhat).sum(0)
     db = dy.sum(0)
     dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(-1, keepdims=True))
+    d = dy.shape[-1]
+    dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / d
+                - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True)
+                          / d))
     return dx, dg, db
 
 
@@ -148,7 +210,7 @@ def _attention_fwd(a, params, prefix, heads, batch, key_bias):
     qh = q.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
     kh = k.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
     vh = v.reshape(batch, n, heads, dh).transpose(0, 2, 1, 3)
-    scale = np.asarray(1.0 / np.sqrt(dh), dtype=a.dtype)
+    scale = a.dtype.type(1.0 / np.sqrt(dh))
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if key_bias is not None:
         scores += key_bias[:, None, None, :]
@@ -392,33 +454,83 @@ def loss_and_grads(params, ids, label_ids, cfg: ModelConfig, drop_rng=None):
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Adam's moments, two vectors laid out like the parameter vector,
+    and the step count.  views are the parameter arrays of the last
+    step: while a dict's entries are still those arrays, it needs no
+    new layout check."""
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
+    views: tuple = field(default=(), repr=False, compare=False)
+
+
+def _name_at(params: dict, index: int) -> str:
+    """The entry of params that holds element index of its vector."""
+    for name, a in params.items():
+        if index < a.size:
+            return name
+        index -= a.size
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One in-place Adam update; rejects non-finite gradients."""
-    beta1, beta2, eps = ADAM
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+    """One in-place Adam update; rejects non-finite gradients.
+
+    grads must match params' names and shapes.  The gradients are gathered
+    into one vector laid out like the parameters, and a non-finite one
+    raises NonFiniteGradientError naming its tensor before anything
+    changes.  The update then runs over ADAM_CHUNK elements of the
+    parameter, gradient and moment vectors at a time, with the
+    per-tensor operations in their order, so each weight is bitwise
+    what a per-tensor update gives.  params is packed (see flat_params)
+    unless its entries are the arrays the last step updated.
+    """
+    if grads.keys() != params.keys() or any(
+            grads[k].shape != a.shape for k, a in params.items()):
+        raise ValueError("grads must match the parameters' names and shapes")
+    views = tuple(params.values())
+    if not (len(views) == len(state.views)
+            and all(map(operator.is_, views, state.views))):
+        flat_params(params)
+        state.views = views = tuple(params.values())
+    flat = views[0].base
+    g = np.concatenate([grads[name] for name in params], axis=None)
+    n = flat.size
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
+    elif state.m.shape != flat.shape:
+        raise ValueError("optimizer state does not match the parameters")
+    size = min(ADAM_CHUNK, n)
+    finite = np.empty(size, bool)
+    for s in range(0, n, ADAM_CHUNK):
+        gc = g[s:s + ADAM_CHUNK]
+        ok = np.isfinite(gc, out=finite[:len(gc)])
+        if not ok.all():
+            name = _name_at(params, s + int(ok.argmin()))
             raise NonFiniteGradientError(f"non-finite gradient in {name}")
+
+    beta1, beta2, eps = ADAM
     state.t += 1
-    t = state.t
-    for name, g in grads.items():
-        if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
-        m = state.m[name]
-        v = state.v[name]
+    c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
+    # the moment terms take the gradient's dtype, the step the weights'
+    gtmp = np.empty(size, g.dtype)
+    tmp, tmp2 = np.empty(size, flat.dtype), np.empty(size, flat.dtype)
+    for s in range(0, n, ADAM_CHUNK):
+        e = s + ADAM_CHUNK
+        gc, m, v, p = g[s:e], state.m[s:e], state.v[s:e], flat[s:e]
+        gt, vhat, step = gtmp[:len(gc)], tmp[:len(gc)], tmp2[:len(gc)]
         m *= beta1
-        m += (1 - beta1) * g
+        m += np.multiply(gc, 1 - beta1, out=gt)
         v *= beta2
-        v += (1 - beta2) * (g * g)
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        params[name] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(
-            params[name].dtype)
+        np.multiply(gc, gc, out=gt)
+        gt *= 1 - beta2
+        v += gt
+        np.divide(v, c2, out=vhat)
+        np.sqrt(vhat, out=vhat)
+        vhat += eps
+        np.divide(m, c1, out=step)  # mhat
+        step *= lr
+        step /= vhat
+        p -= step
 
 
 # ---------------------------------------------------------------------------

@@ -243,9 +243,12 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
             for s in synthetic]
         losses = []
         for epoch in range(1, cfg.epochs_per_stage + 1):
+            # adam_step's finite check is the detector, so overflow on
+            # the way to a non-finite gradient need not also warn
             try:
-                losses.append(train_epoch(model, dataset, cfg, opt_state,
-                                          epoch_rng))
+                with np.errstate(all="ignore"):
+                    losses.append(train_epoch(model, dataset, cfg,
+                                              opt_state, epoch_rng))
             except NonFiniteGradientError as exc:
                 raise _diverged(stage, epoch, exc) from exc
         # an epoch's loss predates its last step; only a forward pass

@@ -142,6 +142,18 @@ def test_diverged_training_exits_1_naming_stage_and_epoch(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_diverged_training_warns_nothing(tmp_path, capsys, recwarn):
+    data = tmp_path / "one.tsv"
+    write_pairs_file(data, PAIR_LINES[:1])
+    code = main(["train", "--data", str(data), "--out",
+                 str(tmp_path / "m.gst"), "--lr", "1e30", "--epochs", "2"])
+    assert code == 1
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines()
+            if line.startswith("error:")] == [err.strip()]
+
+
 def test_train_missing_data_flag_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", str(tmp_path / "m.gst")])

@@ -13,7 +13,7 @@ from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
 from gstgec.errors import BadMagicError, CheckpointFormatError, \
     ConfigError, ParseError, TruncatedCheckpointError
 from gstgec.labels import LabelVocab
-from gstgec.model import GecModel, ModelConfig
+from gstgec.model import GecModel, ModelConfig, flat_params
 
 COMMITTED_CHECKPOINT = (Path(__file__).resolve().parent.parent / "perfbench"
                         / "correct_model.gst")
@@ -123,6 +123,25 @@ def test_model_config_rejects_other_dtypes():
             ModelConfig(vocab_size=3, num_labels=2, dtype=dtype)
 
 
+def test_loaded_params_are_views_of_one_vector():
+    model, _ = load_checkpoint(COMMITTED_CHECKPOINT)
+    arrays = list(model.params.values())
+    flat = flat_params(model.params)
+    assert all(a is b for a, b in zip(arrays, model.params.values()))
+    assert all(a.base is flat for a in arrays)
+    assert flat.flags.writeable
+
+
+def test_checkpoint_saves_a_replaced_entry(tmp_path):
+    model = _tiny_model(3)
+    model.params["gel_b"] = np.array([1, 2, 3, 4], dtype=np.float32)
+    path = tmp_path / "model.gst"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.params["gel_b"].tolist() == [1, 2, 3, 4]
+    assert model.params["gel_b"].base is model.params["tok_emb"].base
+
+
 def test_committed_checkpoint_resaves_byte_for_byte(tmp_path):
     model, extra = load_checkpoint(COMMITTED_CHECKPOINT)
     path = tmp_path / "resaved.gst"
@@ -143,7 +162,7 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(model, path)
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - 10])
-    with pytest.raises(TruncatedCheckpointError):
+    with pytest.raises(TruncatedCheckpointError, match="'gel_b'"):
         load_checkpoint(path)
 
 

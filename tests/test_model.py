@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gstgec.errors import NonFiniteGradientError
-from gstgec.model import AdamState, ModelConfig, _encode_fwd, _pad_batch, \
-    adam_step, encode, forward, init_params, loss_and_grads, loss_only, \
-    param_shapes
+from gstgec.model import ADAM, ADAM_CHUNK, AdamState, ModelConfig, \
+    _encode_fwd, _pad_batch, adam_step, encode, flat_params, forward, \
+    init_params, loss_and_grads, loss_only, param_shapes
 
 
 def small_cfg(**kw):
@@ -262,6 +262,127 @@ def test_adam_rejects_non_finite():
     grads = {"w": np.array([np.nan])}
     with pytest.raises(NonFiniteGradientError):
         adam_step(params, grads, AdamState(), lr=0.1)
+
+
+def reference_adam_step(params, grads, state, lr):
+    """The per-tensor Adam update that adam_step's chunked pass over one
+    vector must equal bitwise.  state is {"m": {}, "v": {}, "t": 0}."""
+    beta1, beta2, eps = ADAM
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    state["t"] += 1
+    t = state["t"]
+    for name, g in grads.items():
+        if name not in state["m"]:
+            state["m"][name] = np.zeros_like(params[name])
+            state["v"][name] = np.zeros_like(params[name])
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * (g * g)
+        mhat = m / (1 - beta1 ** t)
+        vhat = v / (1 - beta2 ** t)
+        params[name] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(
+            params[name].dtype)
+
+
+def chunked_cfg(dtype):
+    # about 125K weights: the update runs over several chunks
+    return ModelConfig(vocab_size=400, num_labels=30, dim=64, layers=2,
+                       heads=2, max_len=16, dtype=dtype)
+
+
+def random_grads(params, rng):
+    # mixed scales, and one all-zero tensor
+    grads = {k: (rng.standard_normal(v.shape)
+                 * 10.0 ** rng.integers(-6, 2)).astype(v.dtype)
+             for k, v in params.items()}
+    grads["blk0.bq"][:] = 0
+    return grads
+
+
+def assert_same_bytes(a, b):
+    assert list(a) == list(b)
+    for name in a:
+        assert a[name].tobytes() == b[name].tobytes(), name
+
+
+def moments(state, params):
+    return (np.concatenate([state["m"][k] for k in params], axis=None),
+            np.concatenate([state["v"][k] for k in params], axis=None))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_equals_per_tensor_reference_bitwise(dtype):
+    cfg = chunked_cfg(dtype)
+    params = init_params(cfg, 3)
+    assert flat_params(params).size > 3 * ADAM_CHUNK
+    ref = {k: v.copy() for k, v in params.items()}
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    rng = np.random.default_rng(0)
+    for lr in (1e-3, 2e-3, 1e-2, 1e-3):
+        grads = random_grads(params, rng)
+        adam_step(params, grads, state, lr)
+        reference_adam_step(ref, grads, ref_state, lr)
+        assert_same_bytes(params, ref)
+        m, v = moments(ref_state, ref)
+        assert state.m.tobytes() == m.tobytes()
+        assert state.v.tobytes() == v.tobytes()
+        assert state.t == ref_state["t"]
+
+
+@pytest.mark.parametrize("name", ["tok_emb", "gel_W"])
+def test_adam_step_names_a_non_finite_tensor_and_changes_nothing(name):
+    cfg = chunked_cfg("float32")
+    params = init_params(cfg, 3)
+    state = AdamState()
+    rng = np.random.default_rng(1)
+    adam_step(params, random_grads(params, rng), state, 1e-3)
+    before = {k: v.copy() for k, v in params.items()}
+    m, v = state.m.copy(), state.v.copy()
+    grads = random_grads(params, rng)
+    grads[name][-1, -1] = np.nan
+    with pytest.raises(NonFiniteGradientError, match=f"in {name}$"):
+        adam_step(params, grads, state, 1e-3)
+    assert_same_bytes(params, before)
+    assert state.m.tobytes() == m.tobytes()
+    assert state.v.tobytes() == v.tobytes()
+    assert state.t == 1
+
+
+def test_init_params_are_views_of_one_vector():
+    params = init_params(small_cfg(), 0)
+    arrays = list(params.values())
+    flat = flat_params(params)
+    assert all(a is b for a, b in zip(arrays, params.values()))
+    assert all(a.base is flat for a in arrays)
+    assert flat.tobytes() == b"".join(a.tobytes() for a in arrays)
+
+
+def test_adam_step_packs_a_replaced_entry_and_updates_it():
+    cfg = chunked_cfg("float32")
+    params = init_params(cfg, 3)
+    ref = {k: v.copy() for k, v in params.items()}
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    rng = np.random.default_rng(2)
+    for step in range(3):
+        if step == 1:
+            params["gel_W"] = params["gel_W"] + 1
+            ref["gel_W"] = ref["gel_W"] + 1
+        grads = random_grads(params, rng)
+        adam_step(params, grads, state, 1e-3)
+        reference_adam_step(ref, grads, ref_state, 1e-3)
+        assert_same_bytes(params, ref)
+    assert params["gel_W"].base is params["tok_emb"].base
+
+
+def test_adam_step_rejects_grads_for_other_names():
+    params = {"w": np.array([1.0]), "u": np.array([2.0])}
+    with pytest.raises(ValueError):
+        adam_step(params, {"w": np.array([1.0])}, AdamState(), lr=0.1)
 
 
 def test_training_determinism():
