@@ -18,8 +18,8 @@ from .labels import Kind, LabelSequence, LabelVocab, TransformLabel, \
     apply_labels, extract_labels, format_label, \
     measure_error_rate, parse_label
 from .model import GecModel, ModelConfig, TokenDistributions
-from .sampling import SamplingConfig, SamplingMode, gumbel_max, \
-    gumbel_softmax, sample_gumbel, sample_ids, sample_label
+from .sampling import SamplingConfig, SamplingMode, sample_gumbel, \
+    sample_ids
 from .scoring import ScoreReport, extract_edits, f_beta, score_corpus
 from .training import TrainingConfig, run_gst, synthesize_example
 
@@ -31,8 +31,7 @@ __all__ = [
     "TransformLabel", "apply_labels", "extract_labels",
     "format_label", "measure_error_rate", "parse_label", "GecModel",
     "ModelConfig", "TokenDistributions", "SamplingConfig", "SamplingMode",
-    "gumbel_max", "gumbel_softmax", "sample_gumbel", "sample_ids",
-    "sample_label",
+    "sample_gumbel", "sample_ids",
     "ScoreReport", "extract_edits", "f_beta", "score_corpus",
     "TrainingConfig", "run_gst", "synthesize_example",
 ]

@@ -15,8 +15,7 @@ import numpy as np
 
 from .corpus import TokenSeq
 from .errors import ConfigError
-from .labels import KEEP, Kind, LabelSequence, TransformLabel, \
-    apply_labels, format_label
+from .labels import Kind, LabelSequence, apply_labels, format_label
 from .model import GecModel, TokenDistributions
 from .sampling import keep_biased_ids
 
@@ -69,13 +68,6 @@ class CorrectionTrace:
 def sentence_error_score(dists: TokenDistributions) -> float:
     """Sum of error-class probability over non-sentinel positions."""
     return float(dists.ged[1:, 1].sum())
-
-
-def biased_argmax(gel_row: np.ndarray, beta: float,
-                  label_vocab) -> TransformLabel:
-    """The keep-biased label of one row; the unknown label keeps."""
-    label = label_vocab.id_to_label(int(keep_biased_ids(gel_row, beta)))
-    return KEEP if label is None else label
 
 
 def predict_labels(model: GecModel, dists: TokenDistributions,

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gstgec.corpus import SENTINEL, TokenVocab, tokenize
-from gstgec.inference import InferenceConfig, biased_argmax, correct, \
-    predict_labels, sentence_error_score
-from gstgec.labels import Kind, LabelVocab
+from gstgec.inference import InferenceConfig, correct, predict_labels, \
+    sentence_error_score
+from gstgec.labels import KEEP, SENTINEL_KINDS, Kind, LabelVocab
 from gstgec.model import GecModel, TokenDistributions
 
 
@@ -34,30 +36,39 @@ def test_sentence_error_score_additive():
         sentence_error_score(a) + sentence_error_score(b))
 
 
-VOCAB = LabelVocab(["$KEP", "$UNK", "$DEL", "$REP_x"])
+VOCAB_MODEL = SimpleNamespace(
+    label_vocab=LabelVocab(["$KEP", "$UNK", "$DEL", "$REP_x"]))
+
+
+def row_labels(rows, beta):
+    """predict_labels on rows placed after a sentinel that keeps, so the
+    sentinel rule leaves them alone."""
+    gel = np.vstack([[1.0, 0.0, 0.0, 0.0], rows])
+    dists = TokenDistributions(ged=np.full((len(gel), 2), 0.5), gel=gel)
+    return predict_labels(VOCAB_MODEL, dists, beta)[1:]
 
 
 def test_biased_argmax_flips_to_keep():
     row = [0.4, 0.0, 0.15, 0.45]
-    label = biased_argmax(row, 0.1, VOCAB)
+    [label] = row_labels([row], 0.1)
     assert label.kind is Kind.KEP  # 0.5 > 0.45
 
 
 def test_biased_argmax_beta_zero_plain():
     row = [0.4, 0.0, 0.15, 0.45]
-    assert biased_argmax(row, 0.0, VOCAB).kind is Kind.REP
+    [label] = row_labels([row], 0.0)
+    assert label.kind is Kind.REP
 
 
 def test_biased_argmax_beta_ge_one_always_keep():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        row = rng.dirichlet(np.ones(4))
-        assert biased_argmax(row, 1.0, VOCAB).kind is Kind.KEP
+    rows = np.random.default_rng(0).dirichlet(np.ones(4), size=100)
+    assert all(lab.kind is Kind.KEP for lab in row_labels(rows, 1.0))
 
 
 def test_biased_argmax_unknown_label_is_keep():
     row = [0.1, 0.8, 0.05, 0.05]
-    assert biased_argmax(row, 0.0, VOCAB).kind is Kind.KEP
+    [label] = row_labels([row], 0.0)
+    assert label.kind is Kind.KEP
 
 
 def wired_delete_model():
@@ -169,8 +180,6 @@ def test_inference_config_rejects_nan(field):
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
 def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
                                                      beta):
-    from gstgec.labels import KEEP, SENTINEL_KINDS
-
     rng = np.random.default_rng(17)
     num_labels = len(toy_model.label_vocab)
     model_dists = [toy_model.forward_tokens(p.source) for p in toy_pairs[:40]]
@@ -181,8 +190,13 @@ def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
         for _ in range(40)]
     edits = sentinel_fixes = 0
     for dists in model_dists + random_dists:
-        want = [biased_argmax(row, beta, toy_model.label_vocab)
-                for row in dists.gel]
+        # per row: add beta to the keep entry, argmax, unknown keeps
+        want = []
+        for row in dists.gel:
+            biased = np.array(row, dtype=np.float64)
+            biased[0] += beta
+            label = toy_model.label_vocab.id_to_label(int(biased.argmax()))
+            want.append(KEEP if label is None else label)
         if want[0].kind not in SENTINEL_KINDS:
             want[0] = KEEP
             sentinel_fixes += 1

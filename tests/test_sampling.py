@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gstgec.sampling import SamplingConfig, SamplingMode, argmax_with_noise, \
-    gumbel_max, gumbel_softmax, multinomial, relax_with_noise, \
-    sample_gumbel, sample_ids, sample_label
+from gstgec.errors import ConfigError
+from gstgec.sampling import SamplingConfig, SamplingMode, keep_biased_ids, \
+    multinomial, relax_with_noise, sample_gumbel, sample_ids, sample_label
+
+
+def hard_sample(probs, noise):
+    """The Gumbel-max draw of each noise row: argmax of log-probs plus
+    noise, ties to the lowest index."""
+    with np.errstate(divide="ignore"):
+        return np.argmax(np.log(probs) + noise, axis=-1)
 
 
 def test_gumbel_closed_form_points():
@@ -22,19 +29,23 @@ def test_gumbel_mean_is_euler_mascheroni():
 
 
 def test_gumbel_max_degenerate():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        assert gumbel_max([1.0, 0.0, 0.0], rng) == 0
+    noise = sample_gumbel((50, 3), np.random.default_rng(1))
+    assert (hard_sample([1.0, 0.0, 0.0], noise) == 0).all()
 
 
 def test_gumbel_max_rejects_zero_mass():
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        gumbel_max([0.0, 0.0], rng)
+    # the modes that read the row; random draws from its length alone
+    for mode in (SamplingMode.GUMBEL_SOFTMAX, SamplingMode.MULTINOMIAL):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError):
+            sample_ids(np.zeros((1, 2)), SamplingConfig(mode=mode), 0.0, rng)
 
 
 def test_gumbel_max_fixed_noise():
-    assert argmax_with_noise([0.5, 0.5], np.array([1.0, 0.0])) == 0
+    # the draw sample_ids makes for this noise; the tie goes to index 0
+    for noise in ([1.0, 0.0], [0.0, 0.0]):
+        relaxed = relax_with_noise([0.5, 0.5], np.array(noise), 1.0)
+        assert keep_biased_ids(relaxed, 0.0) == 0
 
 
 def categorical_oracle(probs, count, rng):
@@ -45,9 +56,8 @@ def categorical_oracle(probs, count, rng):
 
 def test_gumbel_max_frequencies_match_oracle():
     probs = [0.5, 0.3, 0.2]
-    rng = np.random.default_rng(2)
     n = 100_000
-    draws = np.array([gumbel_max(probs, rng) for _ in range(n)])
+    draws = hard_sample(probs, sample_gumbel((n, 3), np.random.default_rng(2)))
     freq = np.bincount(draws, minlength=3) / n
     oracle = np.bincount(
         categorical_oracle(probs, n, np.random.default_rng(3)),
@@ -57,34 +67,33 @@ def test_gumbel_max_frequencies_match_oracle():
 
 
 def test_gumbel_softmax_high_tau_uniform():
-    rng = np.random.default_rng(4)
-    row = gumbel_softmax([0.7, 0.2, 0.1], tau=1e4, rng=rng)
+    noise = sample_gumbel(3, np.random.default_rng(4))
+    row = relax_with_noise([0.7, 0.2, 0.1], noise, 1e4)
     assert np.allclose(row, 1 / 3, atol=1e-3)
 
 
 def test_gumbel_softmax_low_tau_one_hot():
-    rng = np.random.default_rng(5)
-    row = gumbel_softmax([0.7, 0.2, 0.1], tau=1e-4, rng=rng)
+    noise = sample_gumbel(3, np.random.default_rng(5))
+    row = relax_with_noise([0.7, 0.2, 0.1], noise, 1e-4)
     assert row.max() > 0.999
 
 
 def test_gumbel_softmax_valid_distribution():
-    rng = np.random.default_rng(6)
-    for tau in (0.1, 1.0, 10.0):
-        row = gumbel_softmax([0.4, 0.3, 0.2, 0.1], tau=tau, rng=rng)
-        assert (row >= 0).all()
-        assert row.sum() == pytest.approx(1.0, abs=1e-9)
+    # one row per tau, each divided by its own tau
+    taus = np.array([[0.1], [1.0], [10.0]])
+    noise = sample_gumbel((3, 4), np.random.default_rng(6))
+    rows = relax_with_noise([0.4, 0.3, 0.2, 0.1], noise, taus)
+    assert (rows >= 0).all()
+    assert rows.sum(axis=-1) == pytest.approx(np.ones(3), abs=1e-9)
 
 
 def test_shared_noise_argmax_consistency():
-    rng = np.random.default_rng(7)
     probs = [0.5, 0.25, 0.15, 0.1]
-    for _ in range(10_000):
-        noise = sample_gumbel(4, rng)
-        hard = argmax_with_noise(probs, noise)
-        for tau in (0.1, 1.0, 10.0):
-            relaxed = relax_with_noise(probs, noise, tau)
-            assert int(np.argmax(relaxed)) == hard
+    noise = sample_gumbel((10_000, 4), np.random.default_rng(7))
+    hard = hard_sample(probs, noise)
+    for tau in (0.1, 1.0, 10.0):
+        relaxed = relax_with_noise(probs, noise, tau)
+        assert np.array_equal(relaxed.argmax(axis=-1), hard), tau
 
 
 def test_sample_label_random_uniform():
@@ -116,9 +125,9 @@ def test_sample_label_gumbel_exactness():
 
 def test_gumbel_max_chi_square_goodness_of_fit():
     probs = np.array([0.5, 0.3, 0.2])
-    rng = np.random.default_rng(11)
     n = 100_000
-    draws = np.array([gumbel_max(probs, rng) for _ in range(n)])
+    draws = hard_sample(probs,
+                        sample_gumbel((n, 3), np.random.default_rng(11)))
     counts = np.bincount(draws, minlength=3)
     _, p = stats.chisquare(counts, probs * n)
     assert p > 0.001
@@ -137,16 +146,14 @@ def test_seeded_determinism():
 def test_sampler_normalizes_unnormalized_rows():
     rng = np.random.default_rng(12)
     n = 50_000
-    draws = np.array([multinomial([1.8, 0.2], rng) for _ in range(n)])
+    draws = multinomial(np.tile([1.8, 0.2], (n, 1)), rng)
     assert (draws == 0).mean() == pytest.approx(0.9, abs=0.01)
 
 
 def test_tau_must_be_positive():
-    with pytest.raises(ValueError):
-        SamplingConfig(tau=0.0)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        gumbel_softmax([0.5, 0.5], tau=-1.0, rng=rng)
+    for tau in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            SamplingConfig(tau=tau)
 
 
 def test_relax_with_noise_rows_equal_row_by_row():
