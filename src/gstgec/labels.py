@@ -11,6 +11,14 @@ A run of several insertions at one anchor keeps only its first insertion
 as an APPEND per pass; the rest are recovered by re-extracting against
 the fixed target and applying again, mirroring the iterative inference
 loop.
+
+Extraction does only the work its labels need.  The common prefix of a
+pair is matched before the bit-parallel alignment pass, which then runs
+on the remaining suffixes alone.  Every closed-set label (keep, delete,
+merge, split, noun number, and each case rule and verb-form tag) is one
+shared immutable constant; only APPEND and REPLACE labels, whose
+parameter is a token, are built per call.  Compare labels by value:
+parse_label builds new objects.
 """
 
 from __future__ import annotations
@@ -53,7 +61,8 @@ class TransformLabel:
 
     def __post_init__(self):
         if self.kind in _PARAM_KINDS:
-            if not self.param or any(c.isspace() for c in self.param):
+            # str.split() breaks at exactly the code points isspace() holds
+            if not self.param or self.param.split() != [self.param]:
                 raise ValueError(f"{self.kind.value} needs a non-empty, "
                                  "whitespace-free parameter")
         elif self.param is not None:
@@ -67,7 +76,16 @@ class TransformLabel:
         return format_label(self)
 
 
+# The closed-set labels, shared by every extraction.
 KEEP = TransformLabel(Kind.KEP)
+DELETE = TransformLabel(Kind.DEL)
+MERGE = TransformLabel(Kind.MRG)
+SPLIT = TransformLabel(Kind.SPL)
+NUMBER = TransformLabel(Kind.NNUM)
+CASE_LABELS = {rule: TransformLabel(Kind.CAS, rule)
+               for rule in morph.CASE_RULES}
+VERB_FORM_LABELS = {tag: TransformLabel(Kind.VFORM, tag)
+                    for tag in morph.VERB_TAGS}
 
 LabelSequence = list[TransformLabel]
 
@@ -221,12 +239,23 @@ def align_ops(src: TokenSeq, tgt: TokenSeq) -> list[tuple]:
     n-bit delta vectors per target column (_delta_columns):
     D[i][j] = (m-j) + popcount(VP[m-j] & low) - popcount(VN[m-j] & low)
     with low the n-i lowest bits.  No (n+1)×(m+1) table is built.
+
+    The common prefix is matched before that pass, which then runs on
+    the suffixes after it alone.  This changes no op: D reads only
+    suffixes, and the traceback takes every pair of equal tokens as a
+    match before it reads a cost.  (Trimming a common suffix too would
+    change tie-breaks.)
     """
     n, m = len(src), len(tgt)
-    vps, vns = _delta_columns(src, tgt)
-    ops = []
-    i = j = 0
-    cost = m + vps[m].bit_count() - vns[m].bit_count()  # D[i][j]
+    p = 0
+    while p < n and p < m and src[p] == tgt[p]:
+        p += 1
+    ops = [("match", k, k) for k in range(p)]
+    # columns and bits count from the end, so they index the suffixes
+    # after the prefix as they index the whole sequences
+    vps, vns = _delta_columns(src[p:], tgt[p:])
+    i = j = p
+    cost = m - p + vps[-1].bit_count() - vns[-1].bit_count()  # D[i][j]
     while i < n and j < m:
         if src[i] == tgt[j]:
             # equal tokens always give D[i][j] == D[i+1][j+1], because
@@ -274,11 +303,11 @@ def _classify_sub(src, tgt, ops, idx):
     s, t = src[i], tgt[j]
     rule = morph.detect_case(s, t)
     if rule is not None:
-        return TransformLabel(Kind.CAS, rule), None, 1
+        return CASE_LABELS[rule], None, 1
     # merge: sub(i) followed by deletion of i+1 whose join equals the target
     if (idx + 1 < len(ops) and ops[idx + 1][0] == "del"
             and ops[idx + 1][1] == i + 1 and s + src[i + 1] == t):
-        return TransformLabel(Kind.MRG), TransformLabel(Kind.DEL), 2
+        return MERGE, DELETE, 2
     # split: sub to the first dash part, then insertions of the rest
     if "-" in s:
         parts = s.split("-")
@@ -288,12 +317,12 @@ def _classify_sub(src, tgt, ops, idx):
             if (len(tail) == k
                     and all(op[0] == "ins" and op[1] == i for op in tail)
                     and [tgt[op[2]] for op in tail] == parts[1:]):
-                return TransformLabel(Kind.SPL), None, 1 + k
+                return SPLIT, None, 1 + k
     if morph.toggle_number(s) == t:
-        return TransformLabel(Kind.NNUM), None, 1
+        return NUMBER, None, 1
     tag = morph.detect_verb_form(s, t)
     if tag is not None:
-        return TransformLabel(Kind.VFORM, tag), None, 1
+        return VERB_FORM_LABELS[tag], None, 1
     return TransformLabel(Kind.REP, t), None, 1
 
 
@@ -309,7 +338,7 @@ def extract_labels(pair: SentencePair) -> LabelSequence:
             labels[i] = KEEP
             idx += 1
         elif op == "del":
-            labels[i] = TransformLabel(Kind.DEL)
+            labels[i] = DELETE
             idx += 1
         elif op == "sub":
             label, next_label, consumed = _classify_sub(src, tgt, ops, idx)
@@ -400,17 +429,22 @@ def correct_iteratively(src: TokenSeq,
     """Repeat extract/apply against a fixed target until it is reached.
 
     Returns (final sentence, rounds used).  At most max(5, edit
-    distance) rounds run, which suffices because every pass realizes
-    all edits except deferred insertions, of which there are at most one
-    fewer each round.
+    distance) rounds are needed, because every pass realizes all edits
+    except deferred insertions, of which there are at most one fewer
+    each round; one more round runs before giving up.  The edit distance
+    is computed only for a pair still short of its target after 5
+    rounds.
     """
-    max_rounds = max(5, edit_distance(src, tgt))
-    cur = src
-    for rounds in range(max_rounds + 1):
-        if cur == tgt:
-            return cur, rounds
+    max_rounds = 5
+    cur, rounds = src, 0
+    while cur != tgt:
+        if rounds == 5:
+            max_rounds = max(5, edit_distance(src, tgt))
+        if rounds > max_rounds:
+            break
         cur = apply_labels(cur, extract_labels(SentencePair(cur, tgt)))
-    return cur, max_rounds + 1
+        rounds += 1
+    return cur, rounds
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ def detect_case(src: str, tgt: str) -> str | None:
     """First case rule (in declared order) turning src into tgt, if any."""
     if src == tgt:
         return None
+    # every rule maps an ASCII word to one with the same lower case
+    if src.isascii() and src.lower() != tgt.lower():
+        return None
     for rule in CASE_RULES:
         if apply_case(src, rule) == tgt:
             return rule

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gstgec import morph
 from gstgec.corpus import SENTINEL, SentencePair, tokenize
 from gstgec.labels import KEEP, Kind, TransformLabel, align_ops, \
     apply_labels, apply_labels_with_warnings, correct_iteratively, \
@@ -75,6 +76,106 @@ def reference_align_ops(src, tgt):
             ops.append(("ins", i - 1, j))
             j += 1
     return ops
+
+
+def reference_detect_case(src, tgt):
+    """Oracle: morph.detect_case before its early reject, kept verbatim.
+
+    First case rule (in declared order) turning src into tgt, if any."""
+    if src == tgt:
+        return None
+    for rule in morph.CASE_RULES:
+        if morph.apply_case(src, rule) == tgt:
+            return rule
+    return None
+
+
+def reference_classify_sub(src, tgt, ops, idx):
+    """Oracle: labels._classify_sub before its shared label constants,
+    kept verbatim but for the oracle detect_case.
+
+    Turn a substitution op into a g-transformation when a rule fires.
+
+    Returns (label, label_for_next_source_pos_or_None, ops consumed).
+    """
+    _, i, j = ops[idx]
+    s, t = src[i], tgt[j]
+    rule = reference_detect_case(s, t)
+    if rule is not None:
+        return TransformLabel(Kind.CAS, rule), None, 1
+    # merge: sub(i) followed by deletion of i+1 whose join equals the target
+    if (idx + 1 < len(ops) and ops[idx + 1][0] == "del"
+            and ops[idx + 1][1] == i + 1 and s + src[i + 1] == t):
+        return TransformLabel(Kind.MRG), TransformLabel(Kind.DEL), 2
+    # split: sub to the first dash part, then insertions of the rest
+    if "-" in s:
+        parts = s.split("-")
+        if len(parts) >= 2 and all(parts) and parts[0] == t:
+            k = len(parts) - 1
+            tail = ops[idx + 1: idx + 1 + k]
+            if (len(tail) == k
+                    and all(op[0] == "ins" and op[1] == i for op in tail)
+                    and [tgt[op[2]] for op in tail] == parts[1:]):
+                return TransformLabel(Kind.SPL), None, 1 + k
+    if morph.toggle_number(s) == t:
+        return TransformLabel(Kind.NNUM), None, 1
+    tag = morph.detect_verb_form(s, t)
+    if tag is not None:
+        return TransformLabel(Kind.VFORM, tag), None, 1
+    return TransformLabel(Kind.REP, t), None, 1
+
+
+def reference_extract_labels(pair):
+    """Oracle: labels.extract_labels before its shared label constants
+    and prefix matching, kept verbatim but for the oracle alignment and
+    classifier.
+
+    One corrective label per source position (sentinel included)."""
+    src, tgt = pair.source, pair.target
+    ops = reference_align_ops(src, tgt)
+    labels = [None] * len(src)
+    idx = 0
+    while idx < len(ops):
+        op, i, j = ops[idx]
+        if op == "match":
+            labels[i] = KEEP
+            idx += 1
+        elif op == "del":
+            labels[i] = TransformLabel(Kind.DEL)
+            idx += 1
+        elif op == "sub":
+            label, next_label, consumed = reference_classify_sub(
+                src, tgt, ops, idx)
+            labels[i] = label
+            if next_label is not None:
+                labels[i + 1] = next_label
+            idx += consumed
+        else:  # ins
+            # attach to a KEP anchor; later insertions in a run (and
+            # insertions at already-edited anchors) wait for the next pass
+            if i >= 0 and labels[i] is KEEP:
+                labels[i] = TransformLabel(Kind.APP, tgt[j])
+            idx += 1
+    assert all(lab is not None for lab in labels)
+    return labels
+
+
+def reference_correct_iteratively(src, tgt):
+    """Oracle: labels.correct_iteratively before it deferred its bound,
+    kept verbatim.
+
+    Returns (final sentence, rounds used).  At most max(5, edit
+    distance) rounds run, which suffices because every pass realizes
+    all edits except deferred insertions, of which there are at most one
+    fewer each round.
+    """
+    max_rounds = max(5, edit_distance(src, tgt))
+    cur = src
+    for rounds in range(max_rounds + 1):
+        if cur == tgt:
+            return cur, rounds
+        cur = apply_labels(cur, extract_labels(SentencePair(cur, tgt)))
+    return cur, max_rounds + 1
 
 
 def labels_of(text_src, text_tgt):
@@ -170,6 +271,27 @@ def test_align_ops_equals_reference_across_word_boundaries():
     long_tgt = tuple(t for p in pairs for t in p.target)
     assert len(long_src) > 200
     _assert_alignment_matches_reference(long_src, long_tgt)
+
+
+@pytest.mark.parametrize("kind", ["none", "one", "all_src", "all_tgt",
+                                  "all_both"])
+def test_align_ops_equals_reference_after_common_prefix(kind):
+    # the common prefix is matched before the bit-parallel pass
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        src = tuple("abc"[k] for k in rng.integers(0, 3, rng.integers(0, 9)))
+        tgt = tuple("abc"[k] for k in rng.integers(0, 3, rng.integers(0, 9)))
+        if kind == "none":
+            src, tgt = ("x", *src), ("y", *tgt)
+        elif kind == "one":
+            src, tgt = ("x", "y", *src), ("x", "z", *tgt)
+        elif kind == "all_src":
+            tgt = src + tgt
+        elif kind == "all_tgt":
+            src = tgt + src
+        else:
+            tgt = src
+        _assert_alignment_matches_reference(src, tgt)
 
 
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 150])
@@ -347,3 +469,137 @@ def test_transform_label_slotted_value_semantics():
     with pytest.raises(AttributeError):
         a.param = "y"
     assert not hasattr(a, "__dict__")
+
+
+# A vocabulary on which every substitution rule fires: ASCII and
+# non-ASCII case pairs, hyphenated tokens and their parts, noun number,
+# verb forms and merges.
+RULE_TOKENS = [
+    "he", "He", "HE", "the", "The", "Straße", "STRASSE", "straße",
+    "İstanbul", "istanbul", "Istanbul", "\u212a", "k", "K",
+    "well-known", "well", "known", "self-made-man", "self", "made", "man",
+    "cat", "cats", "child", "children", "men",
+    "go", "goes", "went", "going", "gone",
+    "over", "all", "overall", "every", "one", "everyone",
+]
+
+
+@pytest.mark.parametrize("src,tgt,expected", [
+    ("Straße", "STRASSE", ["$KEP", "$CAS_ALL_UP"]),
+    ("\u212a", "k", ["$KEP", "$CAS_LOW_FIRST"]),
+    ("k", "\u212a", ["$KEP", "$REP_\u212a"]),
+    ("k", "K", ["$KEP", "$CAS_UP_FIRST"]),
+    ("İstanbul", "istanbul", ["$KEP", "$REP_istanbul"]),
+    ("istanbul", "İstanbul", ["$KEP", "$REP_İstanbul"]),
+    ("he", "HE", ["$KEP", "$CAS_ALL_UP"]),
+    ("The", "the", ["$KEP", "$CAS_LOW_FIRST"]),
+    ("child", "children", ["$KEP", "$NNUM"]),
+    ("go", "went", ["$KEP", "$VFORM_PAST"]),
+    ("cat", "dog", ["$KEP", "$REP_dog"]),
+    ("over all", "overall", ["$KEP", "$MRG", "$DEL"]),
+    ("self-made-man", "self made man", ["$KEP", "$SPL"]),
+    ("cat", "the cat", ["$APP_the", "$KEP"]),
+])
+def test_extract_labels_fires_each_rule(src, tgt, expected):
+    pair = SentencePair(tokenize(src), tokenize(tgt))
+    got = [format_label(lab) for lab in extract_labels(pair)]
+    assert got == expected
+    assert got == [format_label(lab)
+                   for lab in reference_extract_labels(pair)]
+
+
+@given(st.lists(st.sampled_from([SENTINEL, *RULE_TOKENS]), max_size=5),
+       st.lists(st.sampled_from(RULE_TOKENS), max_size=8),
+       st.lists(st.sampled_from(RULE_TOKENS), max_size=8))
+@settings(max_examples=500, deadline=None)
+def test_extract_labels_equals_reference_hypothesis(prefix, src, tgt):
+    pair = SentencePair((*prefix, *src), (*prefix, *tgt))
+    labels = extract_labels(pair)
+    expected = reference_extract_labels(pair)
+    assert [format_label(lab) for lab in labels] == \
+        [format_label(lab) for lab in expected]
+    assert labels == expected
+
+
+def test_extract_labels_equals_reference_on_corrupted_pairs():
+    rng = np.random.default_rng(29)
+    pairs = corrupt_corpus(generate_clean_corpus(300, rng), rate=0.35,
+                           rng=rng)
+    kinds = set()
+    for pair in pairs:
+        labels = extract_labels(pair)
+        assert labels == reference_extract_labels(pair)
+        kinds.update(lab.kind for lab in labels)
+    assert kinds == set(Kind) - {Kind.MRG, Kind.SPL}
+
+
+def test_detect_case_equals_reference_on_rule_tokens():
+    for src, tgt in product(RULE_TOKENS, repeat=2):
+        assert morph.detect_case(src, tgt) == reference_detect_case(src, tgt)
+
+
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def test_str_split_breaks_exactly_at_isspace():
+    # the label check relies on this: 29 code points, no more, no less
+    assert len(WHITESPACE) == 29
+    assert [c for c in map(chr, range(0x110000))
+            if (f"a{c}b".split() != [f"a{c}b"]) != c.isspace()] == []
+
+
+@pytest.mark.parametrize("c", WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_label_parameter_rejects_whitespace(c):
+    for kind in (Kind.REP, Kind.APP):
+        with pytest.raises(ValueError, match="whitespace-free"):
+            TransformLabel(kind, "a" + c + "b")
+        with pytest.raises(ValueError, match="whitespace-free"):
+            TransformLabel(kind, c)
+    with pytest.raises(ValueError, match="whitespace-free"):
+        parse_label("$REP_a" + c + "b")
+
+
+def test_label_parameter_rejects_empty_and_accepts_zero_width_space():
+    for kind in (Kind.REP, Kind.APP):
+        with pytest.raises(ValueError, match="non-empty"):
+            TransformLabel(kind, "")
+        with pytest.raises(ValueError, match="non-empty"):
+            TransformLabel(kind)
+        assert TransformLabel(kind, "a\u200bb").param == "a\u200bb"
+    with pytest.raises(ValueError, match="non-empty"):
+        parse_label("$APP_")
+    assert parse_label("$REP_a\u200bb") == TransformLabel(Kind.REP, "a\u200bb")
+
+
+def _assert_round_trip_matches_reference(src, tgt):
+    result = correct_iteratively(src, tgt)
+    assert result == reference_correct_iteratively(src, tgt)
+    return result[1]
+
+
+def test_correct_iteratively_equals_reference_on_corrupted_pairs():
+    rng = np.random.default_rng(31)
+    pairs = corrupt_corpus(generate_clean_corpus(300, rng), rate=0.35,
+                           rng=rng)
+    for pair in pairs:
+        _assert_round_trip_matches_reference(pair.source, pair.target)
+
+
+@pytest.mark.parametrize("sentinel", [True, False])
+def test_correct_iteratively_equals_reference_on_three_symbols(sentinel):
+    rng = np.random.default_rng(37)
+    past_five = 0
+    for _ in range(1500):
+        src = tuple("abc"[k] for k in rng.integers(0, 3, rng.integers(0, 9)))
+        tgt = tuple("abc"[k] for k in rng.integers(0, 3, rng.integers(0, 9)))
+        if sentinel:
+            src, tgt = (SENTINEL, *src), (SENTINEL, *tgt)
+        past_five += _assert_round_trip_matches_reference(src, tgt) > 5
+    # long insertion runs land one per round: the bound is computed
+    assert past_five > 0
+
+
+def test_correct_iteratively_identical_pair_takes_no_round():
+    sent = tokenize("the cat sat")
+    assert correct_iteratively(sent, sent) == (sent, 0)
+    assert _assert_round_trip_matches_reference(sent, sent) == 0
