@@ -30,8 +30,8 @@ from .labels import extract_labels
 from .model import GecModel, ModelConfig
 from .sampling import SamplingConfig, SamplingMode
 from .scoring import score_corpus
-from .training import PAIRINGS, TrainingConfig, build_vocabs, \
-    mean_error_rate, metrics_csv, run_gst, synthesize_dataset
+from .training import TrainingConfig, build_vocabs, mean_error_rate, \
+    metrics_csv, run_gst, synthesize_dataset
 
 
 def _settings(args) -> dict[str, str]:
@@ -54,10 +54,7 @@ def _write_manifest(output, args) -> None:
 
 def _add_sampling_args(p, synthesis: bool):
     """The gate, keep bias and seed, plus with synthesis the options that
-    only synthesis reads: --pairing, --tau and --sampling."""
-    if synthesis:
-        p.add_argument("--pairing", choices=PAIRINGS,
-                       default=TrainingConfig.synthesis_pairing)
+    only synthesis reads: --tau and --sampling."""
     p.add_argument("--gamma", type=float, default=TrainingConfig.gamma)
     p.add_argument("--beta", type=float, default=TrainingConfig.beta)
     if synthesis:
@@ -94,8 +91,7 @@ def _training_config(args) -> TrainingConfig:
     if args.command != "train":
         options.update(
             sampling=SamplingConfig(mode=SamplingMode(args.sampling),
-                                    tau=args.tau, seed=args.seed),
-            synthesis_pairing=args.pairing)
+                                    tau=args.tau, seed=args.seed))
     if args.command != "synthesize":
         options.update(stages=args.stages, epochs_per_stage=args.epochs,
                        lr=args.lr, batch_size=args.batch_size)

@@ -47,9 +47,6 @@ class Kind(str, Enum):
 
 _PARAM_KINDS = {Kind.APP, Kind.REP, Kind.CAS, Kind.VFORM}
 
-# Labels that never change sequence length when applied.
-LENGTH_PRESERVING_KINDS = {Kind.KEP, Kind.REP, Kind.CAS, Kind.NNUM, Kind.VFORM}
-
 # The only labels the sentinel (position 0) admits.
 SENTINEL_KINDS = {Kind.KEP, Kind.APP}
 
@@ -116,7 +113,7 @@ def parse_label(text: str) -> TransformLabel:
 class LabelVocab:
     """Label-string <-> dense id map; id 0 is always $KEP.
 
-    The parsed labels and the per-id kind masks are computed once, on
+    The parsed labels and the sentinel mask are computed once, on
     first use, and shared by every caller.  They are not computed in the
     constructor: loading a checkpoint builds a vocabulary, and parsing
     every label there would cost about twice the rest of the load.
@@ -148,10 +145,6 @@ class LabelVocab:
     def label_to_id(self, label: TransformLabel) -> int:
         return self._ids.get(format_label(label), self._ids[UNK_LABEL_STRING])
 
-    def id_to_label(self, idx: int) -> TransformLabel | None:
-        """None for the unknown label (treated as a no-op by callers)."""
-        return self.parsed[idx]
-
     def encode(self, labels: LabelSequence):
         return [self.label_to_id(lab) for lab in labels]
 
@@ -170,19 +163,11 @@ class LabelVocab:
         return [None if text == UNK_LABEL_STRING else parse_label(text)
                 for text in self.labels]
 
-    def _kind_mask(self, kinds) -> np.ndarray:
-        return np.array([lab is not None and lab.kind in kinds
-                         for lab in self.parsed], dtype=bool)
-
     @functools.cached_property
     def sentinel_mask(self) -> np.ndarray:
         """Ids the sentinel admits (SENTINEL_KINDS)."""
-        return self._kind_mask(SENTINEL_KINDS)
-
-    @functools.cached_property
-    def length_preserving_mask(self) -> np.ndarray:
-        """Ids whose labels never change the sequence length."""
-        return self._kind_mask(LENGTH_PRESERVING_KINDS)
+        return np.array([lab is not None and lab.kind in SENTINEL_KINDS
+                         for lab in self.parsed], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

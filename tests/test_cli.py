@@ -111,7 +111,7 @@ def test_gst_random_sampling_runs_and_logs_mode(tmp_path):
         "stage,epoch,train_loss")
 
 
-SYNTHESIS_OPTIONS = {"pairing", "tau", "sampling"}
+SYNTHESIS_OPTIONS = {"tau", "sampling"}
 
 
 def test_train_never_synthesizes(tmp_path, monkeypatch):
@@ -128,8 +128,8 @@ def test_train_never_synthesizes(tmp_path, monkeypatch):
 def test_diverged_training_exits_1_naming_stage_and_epoch(tmp_path, capsys,
                                                           epochs):
     # one step at this rate leaves finite weights (about 1e30) after a
-    # finite loss; their forward pass, and a second epoch's gradient, are
-    # not finite
+    # finite loss; their forward pass is not finite, so the run stops
+    # after epoch 1, the epoch whose step blew the weights up
     data = tmp_path / "one.tsv"
     write_pairs_file(data, PAIR_LINES[:1])
     out = tmp_path / "m.gst"
@@ -138,7 +138,7 @@ def test_diverged_training_exits_1_naming_stage_and_epoch(tmp_path, capsys,
                      "--lr", "1e30", "--epochs", epochs])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"training diverged in stage 1, epoch {epochs}" in err
+    assert "training diverged in stage 1, epoch 1:" in err
     assert not out.exists()
 
 
@@ -251,6 +251,21 @@ def test_synthesize_same_seed_identical_dumps(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_synthesize_from_a_checkpoint_that_records_literal_pairing(tmp_path):
+    # older gst checkpoints record a pairing among their settings; no
+    # setting is read back, so it must not stop a load
+    ckpt, pairs = trained_checkpoint(tmp_path)
+    model, extra = load_checkpoint(ckpt)
+    old = tmp_path / "old.gst"
+    save_checkpoint(model, old, extra={**extra, "pairing": "literal"})
+    assert load_checkpoint(old)[1]["pairing"] == "literal"
+    out = tmp_path / "syn.tsv"
+    assert main(["synthesize", "--model", str(old), "--data",
+                 str(tmp_path / "pairs.tsv"), "--out", str(out),
+                 "--gamma", "0.0"]) == 0
+    assert len(read_labeled_tsv(out)) == len(pairs)
+
+
 @pytest.mark.parametrize("flags", [
     ["--heads", "0"],
     ["--dim", "0", "--heads", "1"],
@@ -288,6 +303,9 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["train", "--sampling", "random"],
     ["train", "--pairing", "literal"],
     ["train", "--tau", "0.5"],
+    # synthesis has a single pairing, so no subcommand takes --pairing
+    ["gst", "--pairing", "literal"],
+    ["synthesize", "--pairing", "realign"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")

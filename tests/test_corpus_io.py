@@ -292,13 +292,11 @@ def test_label_vocab_and_checkpoint_load_parse_no_label(tmp_path,
     loaded, _ = load_checkpoint(path)
     assert calls == []
     # first use parses each label once; later uses reuse the parse
-    assert vocab.id_to_label(3) == real("$REP_a")
-    vocab.sentinel_mask, vocab.length_preserving_mask, vocab.parsed
+    assert vocab.parsed[3] == real("$REP_a")
+    vocab.sentinel_mask, vocab.parsed
     assert sorted(calls) == sorted(s for s in strings if s != "$UNK")
     assert vocab.sentinel_mask.tolist() == [True, False, False, False,
                                             True, False]
-    assert vocab.length_preserving_mask.tolist() == [True, False, False,
-                                                     True, False, False]
     loaded.label_vocab.parsed
     assert len(calls) == len(strings) - 1 + len(loaded.label_vocab) - 1
 

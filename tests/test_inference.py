@@ -195,7 +195,7 @@ def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
         for row in dists.gel:
             biased = np.array(row, dtype=np.float64)
             biased[0] += beta
-            label = toy_model.label_vocab.id_to_label(int(biased.argmax()))
+            label = toy_model.label_vocab.parsed[int(biased.argmax())]
             want.append(KEEP if label is None else label)
         if want[0].kind not in SENTINEL_KINDS:
             want[0] = KEEP

@@ -78,17 +78,6 @@ def test_synthesize_beta_dominance(toy_model, toy_pairs):
         assert syn.labels == gold
 
 
-def test_synthesize_beta_dominance_literal(toy_model, toy_pairs):
-    cfg = TrainingConfig(gamma=0.0, beta=1.5, synthesis_pairing="literal")
-    pair = toy_pairs[0]
-    gold = extract_labels(pair)
-    syn = synthesize_example(toy_model, pair, gold, 0, cfg,
-                             np.random.default_rng(0))
-    assert syn is not None
-    assert syn.source == pair.source
-    assert syn.labels == gold
-
-
 def test_synthesize_huge_gamma_returns_none(toy_model, toy_pairs):
     pair = toy_pairs[0]
     cfg = TrainingConfig(gamma=1e9, beta=0.0)
@@ -111,27 +100,13 @@ def test_synthesize_realign_reaches_gold_target(toy_model, toy_pairs):
     assert checked >= len(toy_pairs) // 2
 
 
-def test_synthesize_literal_is_length_preserving(toy_model, toy_pairs):
-    cfg = TrainingConfig(gamma=0.0, beta=0.1, synthesis_pairing="literal")
-    for k, pair in enumerate(toy_pairs[:50]):
-        gold = extract_labels(pair)
-        syn = synthesize_example(toy_model, pair, gold, k, cfg,
-                                 np.random.default_rng((6, k)))
-        if syn is None:
-            continue
-        assert len(syn.source) == len(pair.source)
-        assert syn.labels == gold  # positionally valid by construction
-
-
 @pytest.mark.filterwarnings("ignore:input of")
-@pytest.mark.parametrize("pairing", ["realign", "literal"])
 @pytest.mark.parametrize("mode", list(SamplingMode))
-def test_synthesize_example_past_the_window(toy_model, long_toy_pair, mode,
-                                            pairing):
+def test_synthesize_example_past_the_window(toy_model, long_toy_pair, mode):
     pair = long_toy_pair
     beyond = len(pair.source) - toy_model.cfg.max_len
     gold = extract_labels(pair)
-    cfg = TrainingConfig(gamma=0.0, beta=0.0, synthesis_pairing=pairing,
+    cfg = TrainingConfig(gamma=0.0, beta=0.0,
                          sampling=SamplingConfig(mode=mode))
     changed = 0
     for k in range(10):
@@ -280,6 +255,8 @@ def test_training_config_validation():
     with pytest.raises(ValueError):
         TrainingConfig(synthesis_pairing="bogus")
     with pytest.raises(ValueError):
+        TrainingConfig(synthesis_pairing="literal")
+    with pytest.raises(ValueError):
         TrainingConfig(gamma=-1.0)
 
 
@@ -356,8 +333,7 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
     noise row (or one baseline draw) per position, masks rebuilt from
     the label strings."""
     from gstgec.inference import sentence_error_score
-    from gstgec.labels import KEEP, LENGTH_PRESERVING_KINDS, \
-        apply_labels, parse_label
+    from gstgec.labels import KEEP, apply_labels, parse_label
     from gstgec.model import forward
     from gstgec.sampling import relax_with_noise, sample_gumbel, \
         sample_label
@@ -370,20 +346,15 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
                     model.cfg)
     if sentence_error_score(dists) <= cfg.gamma:
         return None
-    literal = cfg.synthesis_pairing == "literal"
-    mask = np.array([k in LENGTH_PRESERVING_KINDS for k in kinds])
     sampled = []
     for pos, row in enumerate(dists.gel):
         probs = np.asarray(row, dtype=np.float64).copy()
-        if literal:
-            probs = probs * mask
         if pos == 0:
             allowed = np.zeros_like(probs)
             allowed[0] = probs[0]
-            if not literal:
-                for idx, kind in enumerate(kinds):
-                    if kind is Kind.APP:
-                        allowed[idx] = probs[idx]
+            for idx, kind in enumerate(kinds):
+                if kind is Kind.APP:
+                    allowed[idx] = probs[idx]
             probs = allowed
         probs /= probs.sum()
         if cfg.sampling.mode is SamplingMode.GUMBEL_SOFTMAX:
@@ -399,25 +370,20 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
             idx = sample_label(probs, cfg.sampling, rng)
         text = vocab.labels[idx]
         label = None if text == "$UNK" else parse_label(text)
-        if label is None or (literal and label.kind not in
-                             LENGTH_PRESERVING_KINDS):
+        if label is None:
             label = KEEP
         if pos == 0 and label.kind not in (Kind.KEP, Kind.APP):
             label = KEEP
         sampled.append(label)
     synthetic_source = apply_labels(pair.source, sampled)
-    if literal:
-        labels = gold_labels
-    else:
-        labels = extract_labels(SentencePair(synthetic_source, pair.target))
+    labels = extract_labels(SentencePair(synthetic_source, pair.target))
     return SyntheticExample(synthetic_source, labels, origin_index)
 
 
-@pytest.mark.parametrize("pairing", ["realign", "literal"])
 @pytest.mark.parametrize("mode", list(SamplingMode))
 def test_synthesize_example_matches_per_position_reference(
-        toy_model, toy_pairs, mode, pairing):
-    cfg = TrainingConfig(gamma=0.0, beta=0.2, synthesis_pairing=pairing,
+        toy_model, toy_pairs, mode):
+    cfg = TrainingConfig(gamma=0.0, beta=0.2,
                          sampling=SamplingConfig(mode=mode, tau=0.7))
     changed = 0
     for k, pair in enumerate(toy_pairs[:60]):
