@@ -3,6 +3,11 @@ once as a plain baseline and once with staged self-synthesis, and compare
 held-out F0.5.  Takes a couple of minutes on a laptop CPU; shrink N_PAIRS
 for a quicker look.
 
+Both runs start from the same model and seed, so their first 5 epochs
+are the same: that stage is trained once and the run state is forked.
+The baseline then trains on the genuine pairs alone; the staged run
+synthesizes a fresh set before each later stage.
+
 Run:  python3 demos/03_training_experiment.py
 """
 
@@ -12,7 +17,8 @@ from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.inference import InferenceConfig
 from gstgec.model import GecModel
 from gstgec.sampling import SamplingConfig, SamplingMode
-from gstgec.training import TrainingConfig, build_vocabs, run_gst
+from gstgec.training import TrainingConfig, build_vocabs, run_stages, \
+    start_run, train_stage
 
 SEED = 7
 N_PAIRS = 2000
@@ -26,30 +32,31 @@ print(f"{len(train)} training pairs, {len(heldout)} held out, "
       f"{len(token_vocab)} tokens, {len(label_vocab)} labels")
 
 infer_cfg = InferenceConfig(gamma=0.3, beta=0.0)
-
-
-def experiment(stages, epochs, label):
-    model = GecModel.create(token_vocab, label_vocab, seed=SEED, dim=32,
-                            layers=2, heads=2, max_len=32)
-    cfg = TrainingConfig(
-        stages=stages, epochs_per_stage=epochs, gamma=0.5, beta=0.3,
-        sampling=SamplingConfig(mode=SamplingMode.GUMBEL_SOFTMAX, seed=SEED),
-        lr=2e-3, batch_size=16, seed=SEED)
-    _, metrics = run_gst(model, train, cfg, heldout_pairs=heldout,
-                         infer_cfg=infer_cfg)
-    print(f"\n{label}:")
-    for m in metrics:
-        # the synthetic pairs this stage trained on, sampled by the model
-        # the previous stage left (none in stage 1)
-        print(f"  stage {m.stage}: loss {m.epoch_losses[-1]:.4f}  "
-              f"heldout {m.eval.text()}  "
-              f"trained on {m.synthetic_count} synthetic")
-    return metrics[-1].eval.f_half
-
+cfg = TrainingConfig(
+    stages=3, epochs_per_stage=5, gamma=0.5, beta=0.3,
+    sampling=SamplingConfig(mode=SamplingMode.GUMBEL_SOFTMAX, seed=SEED),
+    lr=2e-3, batch_size=16, seed=SEED)
+model = GecModel.create(token_vocab, label_vocab, seed=SEED, dim=32,
+                        layers=2, heads=2, max_len=32)
 
 # the two runs see the same number of gradient epochs in total
-baseline = experiment(stages=1, epochs=15, label="baseline (1 stage x 15)")
-staged = experiment(stages=3, epochs=5, label="self-synthesis (3 stages x 5)")
+state = start_run(model, train, cfg.seed)
+first = train_stage(state, cfg, [], heldout, infer_cfg)
+baseline_run = state.fork()
+baseline = [first] + [train_stage(baseline_run, cfg, [], heldout, infer_cfg)
+                      for _ in range(cfg.stages - 1)]
+staged = [first] + run_stages(state, cfg, cfg.stages - 1, heldout,
+                              infer_cfg)
 
-print(f"\nheld-out F0.5: baseline {baseline:.2f}  "
-      f"with self-synthesis {staged:.2f}")
+print(f"\nbaseline (1 stage x {cfg.stages * cfg.epochs_per_stage}) beside "
+      f"self-synthesis ({cfg.stages} stages x {cfg.epochs_per_stage}):")
+for b, s in zip(baseline, staged):
+    # the synthetic pairs this stage trained on, sampled by the model
+    # the previous stage left (none in stage 1)
+    print(f"  epoch {s.stage * cfg.epochs_per_stage:2d}: "
+          f"baseline F0.5 {b.eval.f_half:5.2f}  "
+          f"staged loss {s.epoch_losses[-1]:.4f}  heldout {s.eval.text()}  "
+          f"trained on {s.synthetic_count} synthetic")
+
+print(f"\nheld-out F0.5: baseline {baseline[-1].eval.f_half:.2f}  "
+      f"with self-synthesis {staged[-1].eval.f_half:.2f}")

@@ -455,12 +455,15 @@ def loss_and_grads(params, ids, label_ids, cfg: ModelConfig, drop_rng=None):
 @dataclass
 class AdamState:
     """Adam's moments, two vectors laid out like the parameter vector,
-    and the step count.  views are the parameter arrays of the last
-    step: while a dict's entries are still those arrays, it needs no
-    new layout check."""
+    and the step count.  flat and views are the parameter vector and
+    arrays of the last step: while a dict's entries are still those
+    arrays, and still views of that vector, it needs no new layout
+    check.  The arrays of a copied or unpickled (params, state) pair own
+    their data, so such a pair is packed again."""
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     t: int = 0
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
     views: tuple = field(default=(), repr=False, compare=False)
 
 
@@ -489,10 +492,11 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         raise ValueError("grads must match the parameters' names and shapes")
     views = tuple(params.values())
     if not (len(views) == len(state.views)
-            and all(map(operator.is_, views, state.views))):
-        flat_params(params)
-        state.views = views = tuple(params.values())
-    flat = views[0].base
+            and all(map(operator.is_, views, state.views))
+            and views[0].base is state.flat):
+        state.flat = flat_params(params)
+        state.views = tuple(params.values())
+    flat = state.flat
     g = np.concatenate([grads[name] for name in params], axis=None)
     n = flat.size
     if state.m is None:

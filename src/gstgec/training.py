@@ -17,11 +17,16 @@ Synthesis samples a whole sentence at once: the sentinel's label row is
 masked with the label vocabulary's precomputed sentinel mask, and one
 ``sampling.sample_ids`` call draws a label id per row under the
 configured mode and keep bias.
+
+A run's state (RunState) is what one stage hands to the next: the
+model, its Adam state, the epoch generator and the number of stages
+trained.  run_gst starts one and trains all its stages; runs that share
+their first stages can train those once and fork the state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,7 +37,7 @@ from .inference import InferenceConfig, check_gate, correct, \
 from .labels import LabelSequence, LabelVocab, apply_labels, \
     extract_labels, measure_error_rate
 from .model import AdamState, GecModel, adam_step, loss_and_grads, \
-    loss_only
+    loss_only, param_views
 from .sampling import SamplingConfig, sample_ids
 from .scoring import ScoreReport, score_corpus
 
@@ -188,9 +193,124 @@ def evaluate_model(model: GecModel, pairs,
     return score_corpus(sources, hypotheses, references)
 
 
+@dataclass
+class RunState:
+    """Everything one stage hands to the next: the model, its Adam
+    state, the epoch generator and the number of stages trained.
+
+    The genuine pairs, their gold labels and their prepared examples do
+    not change during a run, and forks share them.
+    """
+    model: GecModel
+    opt_state: AdamState
+    epoch_rng: np.random.Generator
+    stage: int
+    pairs: list[SentencePair]
+    gold_labels: list[LabelSequence]
+    genuine: list[TrainExample]
+
+    def fork(self) -> RunState:
+        """An independent continuation of this run.  It copies what
+        training changes: the weight vector, both Adam moments and the
+        step count, the generator's state and the stage number."""
+        model, opt = self.model, self.opt_state
+        flat = np.concatenate(list(model.params.values()), axis=None)
+        params = param_views(flat, {k: a.shape
+                                    for k, a in model.params.items()})
+        bit_generator = type(self.epoch_rng.bit_generator)()
+        bit_generator.state = self.epoch_rng.bit_generator.state
+        return replace(
+            self,
+            model=GecModel(model.cfg, params, model.token_vocab,
+                           model.label_vocab),
+            opt_state=AdamState(None if opt.m is None else opt.m.copy(),
+                                None if opt.v is None else opt.v.copy(),
+                                opt.t),
+            epoch_rng=np.random.Generator(bit_generator))
+
+
+def start_run(model: GecModel, genuine_pairs, seed: int) -> RunState:
+    """A run of model over genuine_pairs with no stage trained yet; its
+    epochs draw from the (seed, 0xE) stream."""
+    gold_labels = [extract_labels(p) for p in genuine_pairs]
+    genuine = [prepare_example(p.source, lab, model.token_vocab,
+                               model.label_vocab)
+               for p, lab in zip(genuine_pairs, gold_labels)]
+    return RunState(model, AdamState(), np.random.default_rng((seed, 0xE)),
+                    0, genuine_pairs, gold_labels, genuine)
+
+
 def _diverged(stage: int, epoch: int, what) -> GstError:
     return GstError(f"training diverged in stage {stage}, epoch {epoch}: "
                     f"{what}")
+
+
+def train_stage(state: RunState, cfg: TrainingConfig,
+                synthetic: list[SyntheticExample], heldout_pairs=None,
+                infer_cfg: InferenceConfig | None = None) -> StageMetrics:
+    """Train the next stage of a run: cfg.epochs_per_stage epochs on the
+    genuine examples plus synthetic, then score heldout_pairs if any.
+    synthetic is empty for stage 1 and for a baseline that goes on
+    without synthesis.
+
+    Training that diverges raises GstError naming the stage and epoch:
+    a non-finite loss in an epoch makes a non-finite gradient, which
+    adam_step rejects, and after each epoch the first genuine
+    mini-batch must still have a finite loss under the updated weights.
+    """
+    model, stage = state.model, state.stage + 1
+    dataset = state.genuine + [
+        prepare_example(s.source, s.labels, model.token_vocab,
+                        model.label_vocab)
+        for s in synthetic]
+    probe = state.genuine[:cfg.batch_size]
+    losses = []
+    for epoch in range(1, cfg.epochs_per_stage + 1):
+        # adam_step's finite check is the detector, so overflow on the
+        # way to a non-finite gradient need not also warn
+        try:
+            with np.errstate(all="ignore"):
+                losses.append(train_epoch(model, dataset, cfg,
+                                          state.opt_state, state.epoch_rng))
+        except NonFiniteGradientError as exc:
+            raise _diverged(stage, epoch, exc) from exc
+        # an epoch's loss predates its last step; only a forward pass
+        # under the new weights shows whether that step blew them up
+        with np.errstate(all="ignore"):
+            after = loss_only(model.params, [ex.src_ids for ex in probe],
+                              [ex.label_ids for ex in probe], model.cfg)
+        if not np.isfinite(after):
+            raise _diverged(stage, epoch,
+                            f"loss {after} on a genuine mini-batch "
+                            "under the updated weights")
+    state.stage = stage
+    evaluation = None
+    if heldout_pairs:
+        if infer_cfg is None:
+            infer_cfg = InferenceConfig(gamma=cfg.gamma, beta=cfg.beta)
+        evaluation = evaluate_model(model, heldout_pairs, infer_cfg)
+    return StageMetrics(stage, losses, evaluation, len(synthetic),
+                        mean_error_rate(synthetic))
+
+
+def run_stages(state: RunState, cfg: TrainingConfig, stages: int,
+               heldout_pairs=None,
+               infer_cfg: InferenceConfig | None = None,
+               ) -> list[StageMetrics]:
+    """Train the next stages of a run.  Each stage after the run's first
+    trains on a set that the model the previous stage left behind
+    synthesizes first; the set built after stage s is keyed by
+    (cfg.seed, s, index)."""
+    metrics = []
+    for _ in range(stages):
+        synthetic: list[SyntheticExample] = []
+        if state.stage:
+            synthetic = synthesize_dataset(state.model, state.pairs,
+                                           state.gold_labels, state.stage,
+                                           cfg, cfg.seed)
+        metrics.append(train_stage(state, cfg, synthetic, heldout_pairs,
+                                   infer_cfg))
+    return metrics
 
 
 def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
@@ -199,65 +319,16 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
             ) -> tuple[GecModel, list[StageMetrics]]:
     """The full staged loop: synthesize, train, evaluate, repeat.
 
-    Stage 1 starts from the supplied model and trains on the genuine
-    pairs alone; each later stage warm-starts from the previous stage's
-    parameters, which first synthesize the set that stage trains on.
-    The set synthesized after stage s is keyed by (seed, s, index), and
-    nothing is synthesized after the last stage, so a single stage is
-    exactly baseline training.  A stage's metrics count the synthetic
-    set it trained on.
-
-    Training that diverges raises GstError naming the stage and epoch:
-    a non-finite loss in an epoch makes a non-finite gradient, which
-    adam_step rejects, and after each epoch the first genuine
-    mini-batch must still have a finite loss under the updated weights.
+    Starts a run from the supplied model and trains its cfg.stages
+    stages (run_stages).  Stage 1 trains on the genuine pairs alone,
+    and nothing is synthesized after the last stage, so a single stage
+    is exactly baseline training.  A stage's metrics count the
+    synthetic set it trained on.  The model is trained in place and
+    returned; the run state is dropped.
     """
-    if infer_cfg is None:
-        infer_cfg = InferenceConfig(gamma=cfg.gamma, beta=cfg.beta)
-    gold_labels = [extract_labels(p) for p in genuine_pairs]
-    genuine = [prepare_example(p.source, lab, model.token_vocab,
-                               model.label_vocab)
-               for p, lab in zip(genuine_pairs, gold_labels)]
-    probe = genuine[:cfg.batch_size]
-    epoch_rng = np.random.default_rng((cfg.seed, 0xE))
-    opt_state = AdamState()
-    metrics: list[StageMetrics] = []
-    for stage in range(1, cfg.stages + 1):
-        synthetic: list[SyntheticExample] = []
-        if stage > 1:
-            synthetic = synthesize_dataset(model, genuine_pairs, gold_labels,
-                                           stage - 1, cfg, cfg.seed)
-        dataset = genuine + [
-            prepare_example(s.source, s.labels, model.token_vocab,
-                            model.label_vocab)
-            for s in synthetic]
-        losses = []
-        for epoch in range(1, cfg.epochs_per_stage + 1):
-            # adam_step's finite check is the detector, so overflow on
-            # the way to a non-finite gradient need not also warn
-            try:
-                with np.errstate(all="ignore"):
-                    losses.append(train_epoch(model, dataset, cfg,
-                                              opt_state, epoch_rng))
-            except NonFiniteGradientError as exc:
-                raise _diverged(stage, epoch, exc) from exc
-            # an epoch's loss predates its last step; only a forward pass
-            # under the new weights shows whether that step blew them up
-            with np.errstate(all="ignore"):
-                after = loss_only(model.params,
-                                  [ex.src_ids for ex in probe],
-                                  [ex.label_ids for ex in probe], model.cfg)
-            if not np.isfinite(after):
-                raise _diverged(stage, epoch,
-                                f"loss {after} on a genuine mini-batch "
-                                "under the updated weights")
-        evaluation = None
-        if heldout_pairs:
-            evaluation = evaluate_model(model, heldout_pairs, infer_cfg)
-        metrics.append(StageMetrics(stage, losses, evaluation,
-                                    len(synthetic),
-                                    mean_error_rate(synthetic)))
-    return model, metrics
+    state = start_run(model, genuine_pairs, cfg.seed)
+    return model, run_stages(state, cfg, cfg.stages, heldout_pairs,
+                             infer_cfg)
 
 
 def metrics_csv(metrics: list[StageMetrics]) -> str:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -377,6 +380,27 @@ def test_adam_step_packs_a_replaced_entry_and_updates_it():
         reference_adam_step(ref, grads, ref_state, 1e-3)
         assert_same_bytes(params, ref)
     assert params["gel_W"].base is params["tok_emb"].base
+
+
+@pytest.mark.parametrize("copy_pair", [
+    copy.deepcopy, lambda pair: pickle.loads(pickle.dumps(pair))],
+    ids=["deepcopy", "pickle"])
+def test_adam_step_continues_a_copied_model_and_state(copy_pair):
+    cfg = chunked_cfg("float32")
+    params = init_params(cfg, 3)
+    state = AdamState()
+    rng = np.random.default_rng(4)
+    adam_step(params, random_grads(params, rng), state, 1e-3)
+    params_copy, state_copy = copy_pair((params, state))
+    for _ in range(2):
+        grads = random_grads(params, rng)
+        adam_step(params, grads, state, 1e-3)
+        adam_step(params_copy, grads, state_copy, 1e-3)
+    assert_same_bytes(params_copy, params)
+    assert state_copy.m.tobytes() == state.m.tobytes()
+    assert state_copy.v.tobytes() == state.v.tobytes()
+    assert state_copy.t == state.t == 3
+    assert params_copy["tok_emb"].base is not params["tok_emb"].base
 
 
 def test_adam_step_rejects_grads_for_other_names():

@@ -13,13 +13,13 @@ from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
     metrics_csv, run_gst, synthesize_dataset, synthesize_example, train_epoch
 
 
-def small_run_setup(n=60, seed=21, rate=0.3):
+def small_run_setup(n=60, seed=21, rate=0.3, dropout=0.0):
     rng = np.random.default_rng(seed)
     clean = generate_clean_corpus(n, rng)
     pairs = corrupt_corpus(clean, rate=rate, rng=rng)
     token_vocab, label_vocab = build_vocabs(pairs)
     model = GecModel.create(token_vocab, label_vocab, seed=seed, dim=16,
-                            layers=1, heads=2, max_len=32)
+                            layers=1, heads=2, max_len=32, dropout=dropout)
     return pairs, model
 
 
@@ -247,6 +247,84 @@ def test_run_gst_determinism():
     a, b = run(), run()
     for k in a:
         assert a[k].tobytes() == b[k].tobytes()
+
+
+def run_snapshot(state):
+    """Everything training changes in a run state, as comparable bytes."""
+    opt = state.opt_state
+    return ([a.tobytes() for a in state.model.params.values()],
+            None if opt.m is None else opt.m.tobytes(),
+            None if opt.v is None else opt.v.tobytes(), opt.t,
+            state.epoch_rng.bit_generator.state, state.stage)
+
+
+@pytest.mark.parametrize("trained", [0, 1])
+def test_training_a_fork_leaves_its_parent_unchanged(trained):
+    pairs, model = small_run_setup(n=20, dropout=0.1)
+    cfg = TrainingConfig(stages=3, gamma=0.1, beta=0.2, lr=1e-3, seed=8)
+    state = training.start_run(model, pairs, cfg.seed)
+    training.run_stages(state, cfg, trained)
+    before = run_snapshot(state)
+    fork = state.fork()
+    assert run_snapshot(fork) == before
+    training.run_stages(fork, cfg, 2)
+    assert run_snapshot(state) == before
+    assert run_snapshot(fork)[0] != before[0]
+    assert fork.stage == trained + 2
+    # what no stage changes is shared, not copied
+    assert fork.genuine is state.genuine
+    assert fork.gold_labels is state.gold_labels
+    assert fork.model.label_vocab is state.model.label_vocab
+
+
+def test_forked_continuation_equals_the_unforked_run():
+    cfg = TrainingConfig(stages=3, epochs_per_stage=2, gamma=0.1, beta=0.2,
+                         lr=1e-3, seed=8)
+    pairs, model = small_run_setup(n=24, dropout=0.1)
+    heldout, train = pairs[:4], pairs[4:]
+    state = training.start_run(model, train, cfg.seed)
+    first = training.train_stage(state, cfg, [], heldout)
+    fork = state.fork()
+    metrics = [first] + training.run_stages(fork, cfg, 2, heldout)
+
+    ref_pairs, ref_model = small_run_setup(n=24, dropout=0.1)
+    _, ref = run_gst(ref_model, ref_pairs[4:], cfg, heldout_pairs=heldout)
+    assert metrics == ref
+    for k, a in ref_model.params.items():
+        assert fork.model.params[k].tobytes() == a.tobytes()
+
+
+def test_run_gst_equals_a_started_run_trained_in_pieces():
+    cfg = TrainingConfig(stages=3, epochs_per_stage=1, gamma=0.1, beta=0.2,
+                         lr=1e-3, seed=8)
+    pairs, model = small_run_setup(n=15)
+    state = training.start_run(model, pairs, cfg.seed)
+    metrics = (training.run_stages(state, cfg, 1)
+               + training.run_stages(state, cfg, cfg.stages - 1))
+
+    ref_pairs, ref_model = small_run_setup(n=15)
+    returned, ref = run_gst(ref_model, ref_pairs, cfg)
+    assert returned is ref_model
+    assert metrics == ref
+    assert state.stage == cfg.stages
+    for k, a in ref_model.params.items():
+        assert model.params[k].tobytes() == a.tobytes()
+
+
+def test_stages_without_synthesis_equal_one_long_stage():
+    pairs, model = small_run_setup(n=20, dropout=0.1)
+    long = TrainingConfig(stages=1, epochs_per_stage=4, lr=1e-3, seed=21)
+    _, ref = run_gst(model, pairs, long)
+
+    short_pairs, short_model = small_run_setup(n=20, dropout=0.1)
+    short = TrainingConfig(stages=2, epochs_per_stage=2, lr=1e-3, seed=21)
+    state = training.start_run(short_model, short_pairs, short.seed)
+    metrics = [training.train_stage(state, short, []) for _ in range(2)]
+    assert [m.stage for m in metrics] == [1, 2]
+    assert [x for m in metrics for x in m.epoch_losses] == \
+        ref[0].epoch_losses
+    for k, a in model.params.items():
+        assert short_model.params[k].tobytes() == a.tobytes()
 
 
 def test_training_config_validation():
