@@ -40,13 +40,12 @@ model = GecModel.create(token_vocab, label_vocab, seed=SEED, dim=32,
                         layers=2, heads=2, max_len=32)
 
 # the two runs see the same number of gradient epochs in total
-state = start_run(model, train, cfg.seed)
+state = start_run(model, train, cfg)
 first = train_stage(state, cfg, [], heldout, infer_cfg)
 baseline_run = state.fork()
 baseline = [first] + [train_stage(baseline_run, cfg, [], heldout, infer_cfg)
-                      for _ in range(cfg.stages - 1)]
-staged = [first] + run_stages(state, cfg, cfg.stages - 1, heldout,
-                              infer_cfg)
+                      for _ in range(cfg.stages - baseline_run.stage)]
+staged = [first] + run_stages(state, cfg, heldout, infer_cfg)
 
 print(f"\nbaseline (1 stage x {cfg.stages * cfg.epochs_per_stage}) beside "
       f"self-synthesis ({cfg.stages} stages x {cfg.epochs_per_stage}):")

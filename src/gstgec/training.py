@@ -26,6 +26,7 @@ their first stages can train those once and fork the state.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +38,7 @@ from .inference import InferenceConfig, check_gate, correct, \
 from .labels import LabelSequence, LabelVocab, apply_labels, \
     extract_labels, measure_error_rate
 from .model import AdamState, GecModel, adam_step, loss_and_grads, \
-    loss_only, param_views
+    loss_only
 from .sampling import SamplingConfig, sample_ids
 from .scoring import ScoreReport, score_corpus
 
@@ -211,33 +212,28 @@ class RunState:
 
     def fork(self) -> RunState:
         """An independent continuation of this run.  It copies what
-        training changes: the weight vector, both Adam moments and the
-        step count, the generator's state and the stage number."""
-        model, opt = self.model, self.opt_state
-        flat = np.concatenate(list(model.params.values()), axis=None)
-        params = param_views(flat, {k: a.shape
-                                    for k, a in model.params.items()})
-        bit_generator = type(self.epoch_rng.bit_generator)()
-        bit_generator.state = self.epoch_rng.bit_generator.state
-        return replace(
-            self,
-            model=GecModel(model.cfg, params, model.token_vocab,
-                           model.label_vocab),
-            opt_state=AdamState(None if opt.m is None else opt.m.copy(),
-                                None if opt.v is None else opt.v.copy(),
-                                opt.t),
-            epoch_rng=np.random.Generator(bit_generator))
+        training changes: the weights, both Adam moments and the step
+        count, the generator and the stage number."""
+        model = self.model
+        params, opt, rng = copy.deepcopy(
+            (model.params, self.opt_state, self.epoch_rng))
+        return replace(self,
+                       model=GecModel(model.cfg, params, model.token_vocab,
+                                      model.label_vocab),
+                       opt_state=opt, epoch_rng=rng)
 
 
-def start_run(model: GecModel, genuine_pairs, seed: int) -> RunState:
+def start_run(model: GecModel, genuine_pairs,
+              cfg: TrainingConfig) -> RunState:
     """A run of model over genuine_pairs with no stage trained yet; its
-    epochs draw from the (seed, 0xE) stream."""
+    epochs draw from the (cfg.seed, 0xE) stream."""
     gold_labels = [extract_labels(p) for p in genuine_pairs]
     genuine = [prepare_example(p.source, lab, model.token_vocab,
                                model.label_vocab)
                for p, lab in zip(genuine_pairs, gold_labels)]
-    return RunState(model, AdamState(), np.random.default_rng((seed, 0xE)),
-                    0, genuine_pairs, gold_labels, genuine)
+    return RunState(model, AdamState(),
+                    np.random.default_rng((cfg.seed, 0xE)), 0,
+                    genuine_pairs, gold_labels, genuine)
 
 
 def _diverged(stage: int, epoch: int, what) -> GstError:
@@ -293,16 +289,15 @@ def train_stage(state: RunState, cfg: TrainingConfig,
                         mean_error_rate(synthetic))
 
 
-def run_stages(state: RunState, cfg: TrainingConfig, stages: int,
-               heldout_pairs=None,
+def run_stages(state: RunState, cfg: TrainingConfig, heldout_pairs=None,
                infer_cfg: InferenceConfig | None = None,
                ) -> list[StageMetrics]:
-    """Train the next stages of a run.  Each stage after the run's first
-    trains on a set that the model the previous stage left behind
-    synthesizes first; the set built after stage s is keyed by
-    (cfg.seed, s, index)."""
+    """Train a run's remaining stages, up to cfg.stages.  Each stage
+    after the run's first trains on a set that the model the previous
+    stage left behind synthesizes first; the set built after stage s is
+    keyed by (cfg.seed, s, index)."""
     metrics = []
-    for _ in range(stages):
+    while state.stage < cfg.stages:
         synthetic: list[SyntheticExample] = []
         if state.stage:
             synthetic = synthesize_dataset(state.model, state.pairs,
@@ -326,9 +321,8 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
     synthetic set it trained on.  The model is trained in place and
     returned; the run state is dropped.
     """
-    state = start_run(model, genuine_pairs, cfg.seed)
-    return model, run_stages(state, cfg, cfg.stages, heldout_pairs,
-                             infer_cfg)
+    state = start_run(model, genuine_pairs, cfg)
+    return model, run_stages(state, cfg, heldout_pairs, infer_cfg)
 
 
 def metrics_csv(metrics: list[StageMetrics]) -> str:

@@ -241,18 +241,17 @@ def desk_experiment():
     random_cfg = config(SamplingMode.RANDOM)
     model = GecModel.create(tv, lv, seed=EXPERIMENT_SEED, dim=32,
                             layers=2, heads=2, max_len=32)
-    stage1 = start_run(model, train, EXPERIMENT_SEED)
+    stage1 = start_run(model, train, gumbel_cfg)
     first = f_half([train_stage(stage1, gumbel_cfg, [], heldout, infer_cfg)])
     baseline_run, gumbel_run, random_run = (stage1.fork() for _ in range(3))
-    later = gumbel_cfg.stages - 1
     return {
         "baseline": first + f_half(
             train_stage(baseline_run, gumbel_cfg, [], heldout, infer_cfg)
-            for _ in range(later)),
-        "gumbel": first + f_half(run_stages(gumbel_run, gumbel_cfg, later,
-                                            heldout, infer_cfg)),
-        "random": first + f_half(run_stages(random_run, random_cfg, later,
-                                            heldout, infer_cfg)),
+            for _ in range(gumbel_cfg.stages - baseline_run.stage)),
+        "gumbel": first + f_half(run_stages(gumbel_run, gumbel_cfg, heldout,
+                                            infer_cfg)),
+        "random": first + f_half(run_stages(random_run, random_cfg, heldout,
+                                            infer_cfg)),
     }
 
 

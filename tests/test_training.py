@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -261,16 +263,18 @@ def run_snapshot(state):
 @pytest.mark.parametrize("trained", [0, 1])
 def test_training_a_fork_leaves_its_parent_unchanged(trained):
     pairs, model = small_run_setup(n=20, dropout=0.1)
-    cfg = TrainingConfig(stages=3, gamma=0.1, beta=0.2, lr=1e-3, seed=8)
-    state = training.start_run(model, pairs, cfg.seed)
-    training.run_stages(state, cfg, trained)
+    cfg = TrainingConfig(stages=trained + 2, gamma=0.1, beta=0.2, lr=1e-3,
+                         seed=8)
+    state = training.start_run(model, pairs, cfg)
+    for _ in range(trained):
+        training.train_stage(state, cfg, [])
     before = run_snapshot(state)
     fork = state.fork()
     assert run_snapshot(fork) == before
-    training.run_stages(fork, cfg, 2)
+    training.run_stages(fork, cfg)
     assert run_snapshot(state) == before
     assert run_snapshot(fork)[0] != before[0]
-    assert fork.stage == trained + 2
+    assert fork.stage == cfg.stages
     # what no stage changes is shared, not copied
     assert fork.genuine is state.genuine
     assert fork.gold_labels is state.gold_labels
@@ -282,10 +286,10 @@ def test_forked_continuation_equals_the_unforked_run():
                          lr=1e-3, seed=8)
     pairs, model = small_run_setup(n=24, dropout=0.1)
     heldout, train = pairs[:4], pairs[4:]
-    state = training.start_run(model, train, cfg.seed)
+    state = training.start_run(model, train, cfg)
     first = training.train_stage(state, cfg, [], heldout)
     fork = state.fork()
-    metrics = [first] + training.run_stages(fork, cfg, 2, heldout)
+    metrics = [first] + training.run_stages(fork, cfg, heldout)
 
     ref_pairs, ref_model = small_run_setup(n=24, dropout=0.1)
     _, ref = run_gst(ref_model, ref_pairs[4:], cfg, heldout_pairs=heldout)
@@ -298,9 +302,9 @@ def test_run_gst_equals_a_started_run_trained_in_pieces():
     cfg = TrainingConfig(stages=3, epochs_per_stage=1, gamma=0.1, beta=0.2,
                          lr=1e-3, seed=8)
     pairs, model = small_run_setup(n=15)
-    state = training.start_run(model, pairs, cfg.seed)
-    metrics = (training.run_stages(state, cfg, 1)
-               + training.run_stages(state, cfg, cfg.stages - 1))
+    state = training.start_run(model, pairs, cfg)
+    metrics = (training.run_stages(state, replace(cfg, stages=1))
+               + training.run_stages(state, cfg))
 
     ref_pairs, ref_model = small_run_setup(n=15)
     returned, ref = run_gst(ref_model, ref_pairs, cfg)
@@ -318,7 +322,7 @@ def test_stages_without_synthesis_equal_one_long_stage():
 
     short_pairs, short_model = small_run_setup(n=20, dropout=0.1)
     short = TrainingConfig(stages=2, epochs_per_stage=2, lr=1e-3, seed=21)
-    state = training.start_run(short_model, short_pairs, short.seed)
+    state = training.start_run(short_model, short_pairs, short)
     metrics = [training.train_stage(state, short, []) for _ in range(2)]
     assert [m.stage for m in metrics] == [1, 2]
     assert [x for m in metrics for x in m.epoch_losses] == \
