@@ -34,7 +34,7 @@ print(f"{len(train)} training pairs, {len(heldout)} held out, "
 infer_cfg = InferenceConfig(gamma=0.3, beta=0.0)
 cfg = TrainingConfig(
     stages=3, epochs_per_stage=5, gamma=0.5, beta=0.3,
-    sampling=SamplingConfig(mode=SamplingMode.GUMBEL_SOFTMAX, seed=SEED),
+    sampling=SamplingConfig(mode=SamplingMode.GUMBEL_SOFTMAX),
     lr=2e-3, batch_size=16, seed=SEED)
 model = GecModel.create(token_vocab, label_vocab, seed=SEED, dim=32,
                         layers=2, heads=2, max_len=32)

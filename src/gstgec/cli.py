@@ -91,7 +91,7 @@ def _training_config(args) -> TrainingConfig:
     if args.command != "train":
         options.update(
             sampling=SamplingConfig(mode=SamplingMode(args.sampling),
-                                    tau=args.tau, seed=args.seed))
+                                    tau=args.tau))
     if args.command != "synthesize":
         options.update(stages=args.stages, epochs_per_stage=args.epochs,
                        lr=args.lr, batch_size=args.batch_size)

@@ -40,26 +40,20 @@ class SentencePair:
     target: TokenSeq
 
 
-def _lines(path):
-    """Yield (line number, line) for each non-empty line of a text
-    file, without its newline."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line:
-                yield lineno, line
-
-
 def _tsv_rows(path):
     """Yield (line number, left, right) for each non-empty line of a
     two-column TSV file."""
-    for lineno, line in _lines(path):
-        if line.count("\t") != 1:
-            raise ParseError(
-                f"expected exactly one tab, found {line.count(chr(9))}",
-                path=path, line=lineno)
-        left, right = line.split("\t")
-        yield lineno, left, right
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.count("\t") != 1:
+                raise ParseError(
+                    f"expected exactly one tab, found {line.count(chr(9))}",
+                    path=path, line=lineno)
+            left, right = line.split("\t")
+            yield lineno, left, right
 
 
 def read_parallel_tsv(path) -> list[SentencePair]:
@@ -96,8 +90,10 @@ def write_labeled_tsv(rows, path) -> None:
 
 
 def read_sentences(path) -> list[TokenSeq]:
-    """One tokenized sentence per non-empty line."""
-    return [tokenize(line) for _, line in _lines(path)]
+    """One tokenized sentence per line, so that outputs line up with the
+    input; an empty line is the empty sentence (the sentinel alone)."""
+    with open(path, encoding="utf-8") as fh:
+        return [tokenize(line) for line in fh]
 
 
 def write_sentences(sentences, path) -> None:

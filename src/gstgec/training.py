@@ -67,6 +67,8 @@ class TrainingConfig:
         # a zero rate is a valid no-update run; NaN fails the comparison
         if not 0 <= self.lr < np.inf:
             raise ConfigError("lr must be finite and non-negative")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass

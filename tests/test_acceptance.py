@@ -231,7 +231,7 @@ def desk_experiment():
     def config(mode):
         return TrainingConfig(
             stages=5, epochs_per_stage=5, gamma=0.5, beta=0.3,
-            sampling=SamplingConfig(mode=mode, seed=EXPERIMENT_SEED),
+            sampling=SamplingConfig(mode=mode),
             lr=2e-3, batch_size=16, seed=EXPERIMENT_SEED)
 
     def f_half(metrics):

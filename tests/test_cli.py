@@ -187,6 +187,18 @@ def test_correct_huge_gamma_copies_input(tmp_path):
     assert out.read_text().splitlines() == [detokenize(s) for s in sents]
 
 
+def test_correct_keeps_empty_lines_in_place(tmp_path):
+    # one output line per input line, so the output lines up with it
+    ckpt, pairs = trained_checkpoint(tmp_path)
+    inp = tmp_path / "in.txt"
+    out = tmp_path / "out.txt"
+    first, last = (detokenize(p.source) for p in pairs[:2])
+    inp.write_text(f"{first}\n\n{last}\n", encoding="utf-8")
+    assert main(["correct", "--model", str(ckpt), "--input", str(inp),
+                 "--output", str(out), "--gamma", "1e9"]) == 0
+    assert out.read_text().splitlines() == [first, "", last]
+
+
 def test_correct_stdout_and_trace(tmp_path, capsys):
     ckpt, pairs = trained_checkpoint(tmp_path)
     inp = tmp_path / "in.txt"
@@ -215,6 +227,24 @@ def test_evaluate_perfect_hypotheses(tmp_path, capsys):
                  "--hypotheses", str(refs), "--references", str(refs)]) == 0
     out = capsys.readouterr().out
     assert "P 100.0 / R 100.0 / F0.5 100.0" in out
+
+
+def test_evaluate_scores_an_empty_line_as_an_empty_sentence(tmp_path,
+                                                            capsys):
+    files = {"sources": ["a x b", "c d"], "hypotheses": ["a b", "c d"],
+             "references": ["a b", "c e"]}
+    outputs = []
+    for gap in ([], [""]):
+        argv = ["evaluate"]
+        for flag, lines in files.items():
+            path = tmp_path / f"{flag}{len(gap)}.txt"
+            path.write_text("\n".join(lines[:1] + gap + lines[1:]) + "\n",
+                            encoding="utf-8")
+            argv += [f"--{flag}", str(path)]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert "P 100.0 / R 50.0" in outputs[0]
+    assert outputs[1] == outputs[0]
 
 
 def test_evaluate_length_mismatch_exits_1(tmp_path):
@@ -252,13 +282,16 @@ def test_synthesize_same_seed_identical_dumps(tmp_path):
 
 
 def test_synthesize_from_a_checkpoint_that_records_literal_pairing(tmp_path):
-    # older gst checkpoints record a pairing among their settings; no
-    # setting is read back, so it must not stop a load
+    # older gst checkpoints record a pairing and may record a sampling
+    # mode that no longer exists; no setting is read back, so neither
+    # may stop a load
     ckpt, pairs = trained_checkpoint(tmp_path)
     model, extra = load_checkpoint(ckpt)
     old = tmp_path / "old.gst"
-    save_checkpoint(model, old, extra={**extra, "pairing": "literal"})
+    save_checkpoint(model, old, extra={**extra, "pairing": "literal",
+                                       "sampling": "multinomial"})
     assert load_checkpoint(old)[1]["pairing"] == "literal"
+    assert load_checkpoint(old)[1]["sampling"] == "multinomial"
     out = tmp_path / "syn.tsv"
     assert main(["synthesize", "--model", str(old), "--data",
                  str(tmp_path / "pairs.tsv"), "--out", str(out),
@@ -295,7 +328,7 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["synthesize", "--tau", "0"],
     ["synthesize", "--tau", "nan"],
     ["synthesize", "--tau", "inf"],
-    ["synthesize", "--sampling", "multinomial", "--beta", "inf"],
+    ["synthesize", "--sampling", "random", "--beta", "inf"],
     ["correct", "--gamma", "inf"],
     ["train", "--lr", "inf"],
     ["train", "--heldout", "h.tsv", "--heldout-frac", "0.5"],
@@ -306,6 +339,13 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     # synthesis has a single pairing, so no subcommand takes --pairing
     ["gst", "--pairing", "literal"],
     ["synthesize", "--pairing", "realign"],
+    # Gumbel-max is the categorical draw, so no multinomial mode is left
+    ["gst", "--sampling", "multinomial"],
+    ["synthesize", "--sampling", "multinomial"],
+    # a seed must be a non-negative integer
+    ["train", "--seed", "-1"],
+    ["gst", "--seed", "-1"],
+    ["synthesize", "--seed", "-2"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")
@@ -386,7 +426,7 @@ def test_manifests_record_every_parsed_option(tmp_path):
           "--output", str(tmp_path / "out.txt"), "--max-iters", "3"],
          tmp_path / "out.txt"),
         (["synthesize", "--model", str(ckpt), "--data", str(data),
-          "--out", str(tmp_path / "syn.tsv"), "--sampling", "multinomial"],
+          "--out", str(tmp_path / "syn.tsv"), "--sampling", "random"],
          tmp_path / "syn.tsv"),
     ]
     for argv, output in runs:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.cli import main
 from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
-    read_parallel_tsv, tokenize, write_parallel_tsv, write_sentences
+    read_parallel_tsv, read_sentences, tokenize, write_parallel_tsv, \
+    write_sentences
 from gstgec.errors import BadMagicError, CheckpointFormatError, \
     ConfigError, ParseError, TruncatedCheckpointError
 from gstgec.labels import LabelVocab
@@ -67,6 +68,16 @@ def test_parallel_tsv_empty_file(tmp_path):
     path = tmp_path / "empty.tsv"
     path.write_text("", encoding="utf-8")
     assert read_parallel_tsv(path) == []
+
+
+def test_sentences_round_trip_with_an_empty_sentence(tmp_path):
+    # one sentence per line, an empty line included, so the sentences
+    # of a file line up with its lines
+    path = tmp_path / "sents.txt"
+    sents = [tokenize("a b"), tokenize(""), tokenize("c")]
+    write_sentences(sents, path)
+    assert path.read_text(encoding="utf-8") == "a b\n\nc\n"
+    assert read_sentences(path) == sents
 
 
 def _tiny_model(seed=0):

@@ -4,7 +4,7 @@ from scipy import stats
 
 from gstgec.errors import ConfigError
 from gstgec.sampling import SamplingConfig, SamplingMode, keep_biased_ids, \
-    multinomial, relax_with_noise, sample_gumbel, sample_ids, sample_label
+    relax_with_noise, sample_gumbel, sample_ids, sample_label
 
 
 def hard_sample(probs, noise):
@@ -34,11 +34,13 @@ def test_gumbel_max_degenerate():
 
 
 def test_gumbel_max_rejects_zero_mass():
-    # the modes that read the row; random draws from its length alone
-    for mode in (SamplingMode.GUMBEL_SOFTMAX, SamplingMode.MULTINOMIAL):
+    # and negative or non-finite entries; random draws from the row's
+    # length alone, so only Gumbel reads it
+    for row in ([0.0, 0.0], [0.5, -0.1], [0.5, np.nan], [0.5, np.inf]):
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
-            sample_ids(np.zeros((1, 2)), SamplingConfig(mode=mode), 0.0, rng)
+            sample_ids(np.array([[0.5, 0.5], row]), SamplingConfig(), 0.0,
+                       rng)
 
 
 def test_gumbel_max_fixed_noise():
@@ -106,14 +108,6 @@ def test_sample_label_random_uniform():
     assert np.allclose(freq, 0.25, atol=0.01)
 
 
-def test_sample_label_multinomial_frequency():
-    cfg = SamplingConfig(mode=SamplingMode.MULTINOMIAL)
-    rng = np.random.default_rng(9)
-    n = 100_000
-    draws = sample_ids(np.tile([0.9, 0.1], (n, 1)), cfg, 0.0, rng)
-    assert (draws == 0).mean() == pytest.approx(0.9, abs=0.01)
-
-
 def test_sample_label_gumbel_exactness():
     rng = np.random.default_rng(10)
     n = 100_000
@@ -146,7 +140,8 @@ def test_seeded_determinism():
 def test_sampler_normalizes_unnormalized_rows():
     rng = np.random.default_rng(12)
     n = 50_000
-    draws = multinomial(np.tile([1.8, 0.2], (n, 1)), rng)
+    draws = sample_ids(np.tile([1.8, 0.2], (n, 1)), SamplingConfig(), 0.0,
+                       rng)
     assert (draws == 0).mean() == pytest.approx(0.9, abs=0.01)
 
 
@@ -176,16 +171,6 @@ def test_relax_with_noise_rows_equal_row_by_row():
         want = [int(sample_ids(row, cfg, 0.3, rng)) for row in probs]
         got = sample_ids(probs, cfg, 0.3, np.random.default_rng(17))
         assert got.tolist() == want, mode
-
-
-def test_multinomial_matrix_equals_scalar_searchsorted():
-    rng = np.random.default_rng(18)
-    probs = rng.dirichlet(np.full(23, 0.3), size=200)
-    got = multinomial(probs, np.random.default_rng(19))
-    rng = np.random.default_rng(19)
-    want = [int(np.searchsorted(np.cumsum(row / row.sum()), rng.random(),
-                                side="right").clip(0, 22)) for row in probs]
-    assert got.tolist() == want
 
 
 def test_gumbel_tau_acts_only_through_the_keep_bias():

@@ -340,6 +340,8 @@ def test_training_config_validation():
         TrainingConfig(synthesis_pairing="literal")
     with pytest.raises(ValueError):
         TrainingConfig(gamma=-1.0)
+    with pytest.raises(ValueError):
+        TrainingConfig(seed=-1)
 
 
 @pytest.mark.parametrize("field", ["gamma", "beta"])
@@ -444,10 +446,6 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
             relaxed = relax_with_noise(probs, noise, cfg.sampling.tau)
             relaxed[0] += cfg.beta
             idx = int(np.argmax(relaxed))
-        elif cfg.sampling.mode is SamplingMode.MULTINOMIAL:
-            shifted = probs.copy()
-            shifted[0] += cfg.beta
-            idx = sample_label(shifted, cfg.sampling, rng)
         else:
             idx = sample_label(probs, cfg.sampling, rng)
         text = vocab.labels[idx]
