@@ -5,14 +5,17 @@ JSON config document (model hyperparameters, token vocabulary, label
 vocabulary, and any extra run settings), then the weight arrays as flat
 little-endian floats of the model's dtype (float32 or float64) in
 declared parameter order.  That weight region is the bytes of the
-model's one parameter vector: saving writes it at once, and loading
-reads it back with one frombuffer.
+model's one parameter vector: saving writes the vector's buffer as it
+is, and loading reads the region straight into a new vector, after
+checking every size the header and config declare against the file's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import asdict
 
 import numpy as np
@@ -44,24 +47,17 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
     blob = json.dumps(cfg_doc, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(np.uint32(len(blob)).astype("<u4").tobytes())
+        fh.write(len(blob).to_bytes(4, "little"))
         fh.write(blob)
-        fh.write(flat.astype(stored, copy=False).tobytes())
+        fh.write(flat.astype(stored, copy=False))
 
 
-def load_checkpoint(path) -> tuple[GecModel, dict]:
-    """Returns the model and the saved extra-config dict."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
-    if len(data) < 8:
-        raise TruncatedCheckpointError("file ends inside the header")
-    blob_len = int(np.frombuffer(data[4:8], dtype="<u4")[0])
-    if len(data) < 8 + blob_len:
-        raise TruncatedCheckpointError("file ends inside the config document")
+def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
+                                      dict]:
+    """The model config, vocabularies and extra settings of a config
+    document, each checked."""
     try:
-        cfg_doc = json.loads(data[8:8 + blob_len].decode("utf-8"))
+        cfg_doc = json.loads(doc.decode("utf-8"))
         model_kwargs = cfg_doc["model"]
         tokens = cfg_doc["tokens"]
         labels = cfg_doc["labels"]
@@ -81,19 +77,44 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         raise CheckpointFormatError(str(exc)) from exc
     if cfg.vocab_size != len(token_vocab) or cfg.num_labels != len(label_vocab):
         raise CheckpointFormatError("config shapes disagree with vocabularies")
+    return cfg, token_vocab, label_vocab, extra
 
-    stored = np.dtype(cfg.dtype).newbyteorder("<")
-    shapes = param_shapes(cfg)
-    start = end = 8 + blob_len
-    for name, shape in shapes.items():
-        end += stored.itemsize * math.prod(shape)
-        if end > len(data):
+
+def load_checkpoint(path) -> tuple[GecModel, dict]:
+    """Returns the model and the saved extra-config dict.  Nothing is
+    read or allocated at a size the file declares until the file is
+    known to hold that many bytes."""
+    with open(path, "rb") as fh:
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            raise CheckpointFormatError(f"{path} is not a regular file")
+        size = status.st_size
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        if len(head) < 8:
+            raise TruncatedCheckpointError("file ends inside the header")
+        start = 8 + int.from_bytes(head[4:], "little")
+        if size < start:
             raise TruncatedCheckpointError(
-                f"file ends inside weight array {name!r}")
-    if end != len(data):
-        raise CheckpointFormatError(
-            f"{len(data) - end} trailing bytes after declared arrays")
-    flat = np.frombuffer(data, dtype=stored, offset=start,
-                         count=(end - start) // stored.itemsize)
-    params = param_views(flat.astype(cfg.dtype), shapes)
+                "file ends inside the config document")
+        cfg, token_vocab, label_vocab, extra = _read_config(
+            fh.read(start - 8))
+
+        stored = np.dtype(cfg.dtype).newbyteorder("<")
+        shapes = param_shapes(cfg)
+        end = start
+        for name, shape in shapes.items():
+            end += stored.itemsize * math.prod(shape)
+            if end > size:
+                raise TruncatedCheckpointError(
+                    f"file ends inside weight array {name!r}")
+        if end != size:
+            raise CheckpointFormatError(
+                f"{size - end} trailing bytes after declared arrays")
+        flat = np.empty((end - start) // stored.itemsize, stored)
+        if fh.readinto(flat) != flat.nbytes:
+            raise TruncatedCheckpointError("file ends inside the weights")
+    # a view on a little-endian host; a big-endian one swaps into a copy
+    params = param_views(flat.astype(cfg.dtype, copy=False), shapes)
     return GecModel(cfg, params, token_vocab, label_vocab), extra

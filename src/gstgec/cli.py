@@ -5,8 +5,8 @@ synthesize.  A command that writes an output file writes a manifest
 next to it, recording every parsed option of the subcommand; re-running
 from the same manifest reproduces the outputs bit-exactly.  Settings
 are checked by the config dataclasses, which each subcommand builds
-before it reads any input; the directory of every output is checked
-then too.
+before it reads any input; every output path is checked then too (its
+directory must exist, and it must not be a directory itself).
 
 Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint),
 2 usage or config error (a bad flag or an out-of-range setting).
@@ -99,9 +99,12 @@ def _training_config(args) -> TrainingConfig:
 
 
 def _check_output_dir(path) -> None:
-    """Fail before any input is read when an output cannot be written
-    for want of its directory."""
-    parent = Path(path).parent
+    """Fail before any input is read when an output cannot be written:
+    its directory is missing, or the path is a directory itself."""
+    output = Path(path)
+    if output.is_dir():
+        raise GstError(f"cannot write {path}: it is a directory")
+    parent = output.parent
     if not parent.is_dir():
         raise GstError(f"cannot write {path}: no directory {parent}")
 
@@ -118,6 +121,10 @@ def _read_pairs(path) -> list:
 def cmd_train(args) -> int:
     """train and gst; train is gst with a single stage."""
     cfg = _training_config(args)
+    model_settings = dict(dim=args.dim, layers=args.layers, heads=args.heads,
+                          max_len=args.max_len, dropout=args.dropout)
+    # no check of these depends on the vocabularies, so run them now
+    ModelConfig(vocab_size=0, num_labels=0, **model_settings)
     if not 0 <= args.heldout_frac < 1:
         raise ConfigError("heldout_frac must be in [0, 1)")
     _check_output_dir(args.out)
@@ -136,10 +143,8 @@ def cmd_train(args) -> int:
                          path=args.data)
 
     token_vocab, label_vocab = build_vocabs(pairs)
-    model = GecModel.create(
-        token_vocab, label_vocab, seed=args.seed, dim=args.dim,
-        layers=args.layers, heads=args.heads, max_len=args.max_len,
-        dropout=args.dropout)
+    model = GecModel.create(token_vocab, label_vocab, seed=args.seed,
+                            **model_settings)
     model, metrics = run_gst(model, pairs, cfg, heldout_pairs=heldout)
 
     save_checkpoint(model, args.out, extra=_settings(args))

@@ -346,6 +346,11 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["train", "--seed", "-1"],
     ["gst", "--seed", "-1"],
     ["synthesize", "--seed", "-2"],
+    # the model's settings need no vocabulary, so they are checked first
+    ["train", "--dim", "8", "--heads", "3"],
+    ["gst", "--dropout", "1.5"],
+    ["train", "--max-len", "0"],
+    ["gst", "--layers", "-1"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")
@@ -496,7 +501,8 @@ def test_one_pair_left_to_the_heldout_split_exits_1(tmp_path, capsys):
     assert "held-out split" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
+# every subcommand that writes a file, its inputs missing
+OUTPUT_ARGVS = [
     ["align", "--input", "{missing}", "--output", "{out}"],
     ["train", "--data", "{missing}", "--out", "{out}"],
     ["gst", "--data", "{missing}", "--out", "{out}"],
@@ -504,7 +510,10 @@ def test_one_pair_left_to_the_heldout_split_exits_1(tmp_path, capsys):
      "--output", "{out}"],
     ["synthesize", "--model", "{missing}", "--data", "{missing}",
      "--out", "{out}"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS)
 def test_missing_output_directory_exits_1_before_reading_inputs(
         tmp_path, capsys, argv):
     out = tmp_path / "no" / "such" / "dir" / "result"
@@ -513,6 +522,15 @@ def test_missing_output_directory_exits_1_before_reading_inputs(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS)
+def test_output_that_is_a_directory_exits_1_before_reading_inputs(
+        tmp_path, capsys, argv):
+    names = {"missing": str(tmp_path / "missing"), "out": str(tmp_path)}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_gst_missing_output_directory_exits_1_before_training(

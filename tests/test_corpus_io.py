@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,50 @@ def _edit_config_document(path, edit) -> None:
     doc = json.dumps(edit(json.loads(data[8:end]))).encode("utf-8")
     path.write_bytes(data[:4] + np.uint32(len(doc)).astype("<u4").tobytes()
                      + doc + data[end:])
+
+
+def test_checkpoint_ends_inside_the_header(tmp_path):
+    path = tmp_path / "short.gst"
+    path.write_bytes(b"GST1\0\0")
+    with pytest.raises(TruncatedCheckpointError, match="inside the header"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_config_length_past_the_end(tmp_path):
+    path = tmp_path / "model.gst"
+    save_checkpoint(_tiny_model(), path)
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + b"\xff\xff\xff\xff" + data[8:])
+    with pytest.raises(TruncatedCheckpointError,
+                       match="inside the config document"):
+        load_checkpoint(path)
+
+
+def _huge_dim(doc):
+    doc["model"].update(dim=2 ** 31, heads=1)
+    return doc
+
+
+def test_checkpoint_declaring_more_weights_than_the_file_holds(tmp_path,
+                                                               capsys):
+    # the declared sizes are checked against the file before anything of
+    # that size is allocated
+    path = tmp_path / "model.gst"
+    save_checkpoint(_tiny_model(), path)
+    _edit_config_document(path, _huge_dim)
+    with pytest.raises(TruncatedCheckpointError, match="'tok_emb'"):
+        load_checkpoint(path)
+    inp = tmp_path / "in.txt"
+    write_sentences([(SENTINEL, "a", "b")], inp)
+    assert main(["correct", "--model", str(path), "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "'tok_emb'" in err
+
+
+def test_checkpoint_that_is_not_a_regular_file():
+    with pytest.raises(CheckpointFormatError, match="not a regular file"):
+        load_checkpoint(os.devnull)
 
 
 @pytest.mark.parametrize("edit", [
