@@ -8,6 +8,9 @@ declared parameter order.  That weight region is the bytes of the
 model's one parameter vector: saving writes the vector's buffer as it
 is, and loading reads the region straight into a new vector, after
 checking every size the header and config declare against the file's.
+
+The model object also holds "dropout": 0.0, after max_len.  Nothing
+reads it: an older file's rate in [0, 1) loads and is ignored.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from .corpus import TokenVocab
 from .errors import BadMagicError, CheckpointFormatError, \
     TruncatedCheckpointError
 from .labels import LabelVocab
-from .model import GecModel, ModelConfig, flat_params, param_shapes, \
-    param_views
+from .model import GecModel, ModelConfig, _name_at, flat_params, \
+    param_shapes, param_views
 
 MAGIC = b"GST1"
 
@@ -33,13 +36,15 @@ MAGIC = b"GST1"
 def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
     """Writes model, packing its parameters first if they are not views
     of one vector (see model.flat_params)."""
-    shapes = list(param_shapes(model.cfg).items())
+    shapes = list(param_shapes(model.cfg))
     if [(k, a.shape) for k, a in model.params.items()] != shapes:
         raise ValueError("parameters are not the config's, in its order")
     flat = flat_params(model.params)
     stored = np.dtype(model.cfg.dtype).newbyteorder("<")
+    fields = asdict(model.cfg)
+    dtype = fields.pop("dtype")
     cfg_doc = {
-        "model": {k: v for k, v in asdict(model.cfg).items()},
+        "model": {**fields, "dropout": 0.0, "dtype": dtype},
         "tokens": model.token_vocab.tokens,
         "labels": model.label_vocab.labels,
         "extra": extra or {},
@@ -67,8 +72,13 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
     # the labels are parsed on first use, so their type is checked here
     for name, entries in (("tokens", tokens), ("labels", labels)):
         if not (isinstance(entries, list)
-                and all(isinstance(e, str) for e in entries)):
+                and set(map(type, entries)) <= {str}):
             raise CheckpointFormatError(f"{name} must be a list of strings")
+    if not isinstance(model_kwargs, dict):
+        raise CheckpointFormatError("model must be an object")
+    dropout = model_kwargs.pop("dropout", 0.0)
+    if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
+        raise CheckpointFormatError(f"dropout {dropout!r} is not in [0, 1)")
     try:
         cfg = ModelConfig(**model_kwargs)
         token_vocab = TokenVocab(tokens)
@@ -83,7 +93,7 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
 def load_checkpoint(path) -> tuple[GecModel, dict]:
     """Returns the model and the saved extra-config dict.  Nothing is
     read or allocated at a size the file declares until the file is
-    known to hold that many bytes."""
+    known to hold that many bytes; non-finite weights are rejected."""
     with open(path, "rb") as fh:
         status = os.fstat(fh.fileno())
         if not stat.S_ISREG(status.st_mode):
@@ -102,13 +112,15 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
             fh.read(start - 8))
 
         stored = np.dtype(cfg.dtype).newbyteorder("<")
-        shapes = param_shapes(cfg)
-        end = start
-        for name, shape in shapes.items():
+        # the walk stops at the first array past the file's end, so a
+        # config that declares many layers costs only what the file holds
+        shapes, end = {}, start
+        for name, shape in param_shapes(cfg):
             end += stored.itemsize * math.prod(shape)
             if end > size:
                 raise TruncatedCheckpointError(
                     f"file ends inside weight array {name!r}")
+            shapes[name] = shape
         if end != size:
             raise CheckpointFormatError(
                 f"{size - end} trailing bytes after declared arrays")
@@ -116,5 +128,15 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         if fh.readinto(flat) != flat.nbytes:
             raise TruncatedCheckpointError("file ends inside the weights")
     # a view on a little-endian host; a big-endian one swaps into a copy
-    params = param_views(flat.astype(cfg.dtype, copy=False), shapes)
+    flat = flat.astype(cfg.dtype, copy=False)
+    params = param_views(flat, shapes)
+    # one dot product screens every weight; a non-finite one may only
+    # have overflowed, so the exact check decides
+    with np.errstate(over="ignore"):
+        screen = flat @ flat
+    if not np.isfinite(screen):
+        finite = np.isfinite(flat)
+        if not finite.all():
+            name = _name_at(params, int(finite.argmin()))
+            raise CheckpointFormatError(f"non-finite weight in {name!r}")
     return GecModel(cfg, params, token_vocab, label_vocab), extra

@@ -69,7 +69,6 @@ def _add_model_args(p):
     p.add_argument("--layers", type=int, default=ModelConfig.layers)
     p.add_argument("--heads", type=int, default=ModelConfig.heads)
     p.add_argument("--max-len", type=int, default=ModelConfig.max_len)
-    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--lr", type=float, default=TrainingConfig.lr)
     p.add_argument("--batch-size", type=int, default=TrainingConfig.batch_size)
 
@@ -122,7 +121,7 @@ def cmd_train(args) -> int:
     """train and gst; train is gst with a single stage."""
     cfg = _training_config(args)
     model_settings = dict(dim=args.dim, layers=args.layers, heads=args.heads,
-                          max_len=args.max_len, dropout=args.dropout)
+                          max_len=args.max_len)
     # no check of these depends on the vocabularies, so run them now
     ModelConfig(vocab_size=0, num_labels=0, **model_settings)
     if not 0 <= args.heldout_frac < 1:

@@ -9,9 +9,9 @@ encoder output exactly the token plus positional embeddings.
 Training runs each mini-batch as one padded (B, n, d) pass: an additive
 key-padding mask keeps padded keys out of every attention row, and
 padded positions carry zero loss weight.  A token's detection target is
-derived from its label (not keep), and dropout runs only when a
-generator is passed.  Inference runs the same encoder as a batch of one
-with no mask.
+derived from its label (not keep).  The encoder draws no random numbers,
+so its output is a function of the weights and ids alone.  Inference
+runs the same encoder as a batch of one with no mask.
 
 A model's parameters are one vector, allocated once in param_shapes
 order; each params[name] is a view of it, and a checkpoint's weight
@@ -46,7 +46,6 @@ class ModelConfig:
     layers: int = 2
     heads: int = 4
     max_len: int = 128
-    dropout: float = 0.0
     dtype: str = "float32"
 
     @property
@@ -67,8 +66,6 @@ class ModelConfig:
             raise ConfigError("layers must be non-negative")
         if self.dim % self.heads != 0:
             raise ConfigError("dim must be divisible by heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
 
@@ -81,31 +78,30 @@ class TokenDistributions:
     gel: np.ndarray  # (n, num_labels)
 
 
-def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Declared parameter order; checkpoints serialize in this order."""
+def param_shapes(cfg: ModelConfig):
+    """(name, shape) of each parameter in declared order, the order
+    checkpoints serialize in; made one at a time, so a caller that stops
+    early pays only for what it read."""
     d, ff = cfg.dim, cfg.ff_dim
-    shapes: dict[str, tuple[int, ...]] = {
-        "tok_emb": (cfg.vocab_size, d),
-        "pos_emb": (cfg.max_len, d),
-    }
+    yield "tok_emb", (cfg.vocab_size, d)
+    yield "pos_emb", (cfg.max_len, d)
     for l in range(cfg.layers):
         p = f"blk{l}."
-        shapes[p + "ln1_g"] = (d,)
-        shapes[p + "ln1_b"] = (d,)
+        yield p + "ln1_g", (d,)
+        yield p + "ln1_b", (d,)
         for name in ("q", "k", "v", "o"):
-            shapes[p + f"W{name}"] = (d, d)
-            shapes[p + f"b{name}"] = (d,)
-        shapes[p + "ln2_g"] = (d,)
-        shapes[p + "ln2_b"] = (d,)
-        shapes[p + "W1"] = (d, ff)
-        shapes[p + "b1"] = (ff,)
-        shapes[p + "W2"] = (ff, d)
-        shapes[p + "b2"] = (d,)
-    shapes["ged_W"] = (d, 2)
-    shapes["ged_b"] = (2,)
-    shapes["gel_W"] = (d, cfg.num_labels)
-    shapes["gel_b"] = (cfg.num_labels,)
-    return shapes
+            yield p + f"W{name}", (d, d)
+            yield p + f"b{name}", (d,)
+        yield p + "ln2_g", (d,)
+        yield p + "ln2_b", (d,)
+        yield p + "W1", (d, ff)
+        yield p + "b1", (ff,)
+        yield p + "W2", (ff, d)
+        yield p + "b2", (d,)
+    yield "ged_W", (d, 2)
+    yield "ged_b", (2,)
+    yield "gel_W", (d, cfg.num_labels)
+    yield "gel_b", (cfg.num_labels,)
 
 
 def param_views(flat: np.ndarray, shapes: dict) -> dict[str, np.ndarray]:
@@ -122,7 +118,7 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Uniform(-0.1, 0.1) weights; layer-norm gain 1, biases 0; all views
     of one vector."""
     rng = np.random.default_rng(seed)
-    shapes = param_shapes(cfg)
+    shapes = dict(param_shapes(cfg))
     flat = np.empty(sum(map(math.prod, shapes.values())), cfg.dtype)
     params = param_views(flat, shapes)
     for name, arr in params.items():
@@ -244,44 +240,28 @@ def _attention_bwd(dout, cache, params, prefix, grads):
     return da
 
 
-def _dropout_mask(shape, rate, drop_rng, dtype):
-    """An inverted-dropout mask, or None when nothing is dropped."""
-    if rate == 0.0:
-        return None
-    return ((drop_rng.random(shape) >= rate) / (1.0 - rate)).astype(dtype)
-
-
-def _encode_fwd(params, ids, cfg, key_bias=None, drop_rng=None):
+def _encode_fwd(params, ids, cfg, key_bias=None):
     """The encoder over a padded (B, n) id batch.
 
     Returns the output's B*n rows, the (B, n, d) batch flattened so the
     projections run as one matrix product, and one cache per layer.
     key_bias is the additive (B, n) key-padding mask (-inf on padded
-    keys), or None when no sentence is padded.  Dropout at cfg.dropout
-    draws its masks from drop_rng; without one nothing is dropped.
+    keys), or None when no sentence is padded.
     """
     batch, n = ids.shape
     x = (params["tok_emb"][ids] + params["pos_emb"][:n]).reshape(batch * n,
                                                                  cfg.dim)
-    rate = 0.0 if drop_rng is None else cfg.dropout
     caches = []
     for l in range(cfg.layers):
         p = f"blk{l}."
         a, ln1 = _layer_norm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
         attn, att_cache = _attention_fwd(a, params, p, cfg.heads, batch,
                                          key_bias)
-        mask_a = _dropout_mask(attn.shape, rate, drop_rng, x.dtype)
-        if mask_a is not None:
-            attn = attn * mask_a
         x1 = x + attn
         f, ln2 = _layer_norm_fwd(x1, params[p + "ln2_g"], params[p + "ln2_b"])
         h = f @ params[p + "W1"] + params[p + "b1"]
-        o = np.maximum(h, 0) @ params[p + "W2"] + params[p + "b2"]
-        mask_f = _dropout_mask(o.shape, rate, drop_rng, x.dtype)
-        if mask_f is not None:
-            o = o * mask_f
-        x = x1 + o
-        caches.append((ln1, att_cache, mask_a, ln2, f, h, mask_f))
+        x = x1 + (np.maximum(h, 0) @ params[p + "W2"] + params[p + "b2"])
+        caches.append((ln1, att_cache, ln2, f, h))
     return x, caches
 
 
@@ -291,18 +271,16 @@ def _encode_bwd(params, dx, caches, cfg, grads):
     once backward has passed it."""
     for l in range(cfg.layers - 1, -1, -1):
         p = f"blk{l}."
-        ln1, att_cache, mask_a, ln2, f, h, mask_f = caches.pop()
-        do = dx if mask_f is None else dx * mask_f
-        grads[p + "W2"] = np.maximum(h, 0).T @ do
-        grads[p + "b2"] = do.sum(0)
-        dh = (do @ params[p + "W2"].T) * (h > 0)
+        ln1, att_cache, ln2, f, h = caches.pop()
+        grads[p + "W2"] = np.maximum(h, 0).T @ dx
+        grads[p + "b2"] = dx.sum(0)
+        dh = (dx @ params[p + "W2"].T) * (h > 0)
         grads[p + "W1"] = f.T @ dh
         grads[p + "b1"] = dh.sum(0)
         df = dh @ params[p + "W1"].T
         dx1, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_bwd(df, ln2)
         dx1 += dx
-        dattn = dx1 if mask_a is None else dx1 * mask_a
-        da = _attention_bwd(dattn, att_cache, params, p, grads)
+        da = _attention_bwd(dx1, att_cache, params, p, grads)
         dxa, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_bwd(da, ln1)
         dx = dx1 + dxa
     return dx
@@ -408,7 +386,7 @@ def loss_only(params, ids, label_ids, cfg) -> float:
     return float(weights @ _token_losses(ged_p, gel_p, label_ids, detect))
 
 
-def loss_and_grads(params, ids, label_ids, cfg: ModelConfig, drop_rng=None):
+def loss_and_grads(params, ids, label_ids, cfg: ModelConfig):
     """Detection + labeling cross-entropy of a mini-batch and its exact
     gradient for every parameter.
 
@@ -416,13 +394,13 @@ def loss_and_grads(params, ids, label_ids, cfg: ModelConfig, drop_rng=None):
     array is a batch of one); a token's detection target is 1 when its
     label is not keep (id 0).  The loss is the mean over sentences of
     each sentence's mean-token loss.  The batch runs as one padded
-    encoder pass, with dropout when drop_rng is given; padded positions
-    carry zero loss weight, so their gradient rows are exactly zero.
+    encoder pass; padded positions carry zero loss weight, so their
+    gradient rows are exactly zero.
     """
     dtype = params["tok_emb"].dtype
     ids, label_ids, detect, weights, key_bias = _pad_batch(
         ids, label_ids, cfg, dtype)
-    x, caches = _encode_fwd(params, ids, cfg, key_bias, drop_rng)
+    x, caches = _encode_fwd(params, ids, cfg, key_bias)
     ged_p, gel_p = _heads(params, x)
     total = float(weights @ _token_losses(ged_p, gel_p, label_ids, detect))
 

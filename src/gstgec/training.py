@@ -121,7 +121,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
                 rng: np.random.Generator) -> float:
     """One seeded-shuffle pass, one padded encoder pass and one Adam
     step per mini-batch; returns the mean per-sentence loss.  rng draws
-    the shuffle and, at a nonzero model dropout, the dropout masks."""
+    only the shuffle."""
     if not examples:
         raise ValueError("dataset is empty")
     order = rng.permutation(len(examples))
@@ -130,7 +130,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
         batch = [examples[i] for i in order[start:start + cfg.batch_size]]
         loss, grads = loss_and_grads(
             model.params, [ex.src_ids for ex in batch],
-            [ex.label_ids for ex in batch], cfg=model.cfg, drop_rng=rng)
+            [ex.label_ids for ex in batch], cfg=model.cfg)
         adam_step(model.params, grads, opt_state, cfg.lr)
         total_loss += loss * len(batch)
     return total_loss / len(order)

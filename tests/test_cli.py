@@ -303,8 +303,6 @@ def test_synthesize_from_a_checkpoint_that_records_literal_pairing(tmp_path):
     ["--heads", "0"],
     ["--dim", "0", "--heads", "1"],
     ["--max-len", "0"],
-    ["--dropout", "1.0"],
-    ["--dropout", "-0.5"],
     ["--batch-size", "0"],
     ["--lr", "-0.001"],
 ])
@@ -348,9 +346,11 @@ def test_train_out_of_range_model_value_exits_2(tmp_path, capsys, flags):
     ["synthesize", "--seed", "-2"],
     # the model's settings need no vocabulary, so they are checked first
     ["train", "--dim", "8", "--heads", "3"],
-    ["gst", "--dropout", "1.5"],
     ["train", "--max-len", "0"],
     ["gst", "--layers", "-1"],
+    # no dropout is left, so no subcommand takes --dropout
+    ["gst", "--dropout", "1.5"],
+    ["train", "--dropout", "0.1"],
 ])
 def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     missing = str(tmp_path / "missing")

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gstgec.cli import main
 from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
     read_parallel_tsv, read_sentences, tokenize, write_parallel_tsv, \
     write_sentences
+from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.errors import BadMagicError, CheckpointFormatError, \
     ConfigError, ParseError, TruncatedCheckpointError
 from gstgec.labels import LabelVocab
@@ -303,6 +305,114 @@ def test_checkpoint_malformed_vocabulary_exits_1(tmp_path, capsys, field,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert field in err
+
+
+def _set_model_field(field, value):
+    def edit(doc):
+        doc["model"][field] = value
+        return doc
+    return edit
+
+
+def test_checkpoint_dropout_rate_is_read_past(tmp_path, capsys):
+    # no model trains with dropout and inference never applied it, so a
+    # rate that a model could have been saved with changes nothing
+    path = tmp_path / "legacy.gst"
+    path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
+    _edit_config_document(path, _set_model_field("dropout", 0.3))
+    model, extra = load_checkpoint(path)
+    ref, ref_extra = load_checkpoint(COMMITTED_CHECKPOINT)
+    assert (model.cfg, extra) == (ref.cfg, ref_extra)
+    assert flat_params(model.params).tobytes() == \
+        flat_params(ref.params).tobytes()
+
+    rng = np.random.default_rng(5)
+    pairs = corrupt_corpus(generate_clean_corpus(30, rng), 0.3, rng)
+    inp = tmp_path / "in.txt"
+    write_sentences([p.source for p in pairs], inp)
+    outputs = []
+    for ckpt in (COMMITTED_CHECKPOINT, path):
+        assert main(["correct", "--model", str(ckpt), "--input",
+                     str(inp)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != "".join(detokenize(p.source) + "\n" for p in pairs)
+
+
+@pytest.mark.parametrize("field,edit", [
+    ("dropout", _set_model_field("dropout", 1.5)),
+    ("dropout", _set_model_field("dropout", "x")),
+    ("model", lambda doc: {**doc, "model": [1, 2]}),
+], ids=["dropout-1.5", "dropout-str", "model-list"])
+def test_checkpoint_malformed_model_object_exits_1(tmp_path, capsys, field,
+                                                   edit):
+    path = tmp_path / "model.gst"
+    path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
+    _edit_config_document(path, edit)
+    inp = tmp_path / "in.txt"
+    write_sentences([(SENTINEL, "a", "b")], inp)
+    assert main(["correct", "--model", str(path), "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_checkpoint_declaring_many_layers_fails_in_bounded_memory(tmp_path):
+    # the declared arrays are walked only as far as the file holds them
+    path = tmp_path / "model.gst"
+    save_checkpoint(_tiny_model(), path)
+    _edit_config_document(path, _set_model_field("layers", 100_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedCheckpointError, match="'blk1.Wq'"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _edit_weights(path, edit) -> None:
+    """Rewrite the float32 weights of the checkpoint at path in place."""
+    data = bytearray(path.read_bytes())
+    start = 8 + int.from_bytes(data[4:8], "little")
+    edit(np.frombuffer(data, dtype="<f4", offset=start))
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("edit,array", [
+    (lambda w: w.fill(np.nan), "tok_emb"),
+    (lambda w: w.__setitem__(-1, np.inf), "gel_b"),
+], ids=["all-nan", "last-inf"])
+@pytest.mark.parametrize("command", ["correct", "synthesize"])
+def test_checkpoint_non_finite_weights_exit_1(tmp_path, capsys, command,
+                                              edit, array):
+    path = tmp_path / "model.gst"
+    path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
+    _edit_weights(path, edit)
+    with pytest.raises(CheckpointFormatError, match=f"'{array}'"):
+        load_checkpoint(path)
+    data = tmp_path / "pairs.tsv"
+    write_parallel_tsv([SentencePair((SENTINEL, "a", "b"),
+                                     (SENTINEL, "a", "c"))], data)
+    if command == "correct":
+        argv = ["--input", str(data)]
+    else:
+        argv = ["--data", str(data), "--out", str(tmp_path / "syn.tsv")]
+    assert main([command, "--model", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{array}'" in err
+
+
+def test_checkpoint_weights_whose_squares_overflow_load(tmp_path):
+    # the screen is a dot product, which can overflow on finite weights
+    model = _tiny_model()
+    model.params["gel_b"][:] = 3e38
+    path = tmp_path / "model.gst"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.params["gel_b"].tolist() == [np.float32(3e38)] * 4
 
 
 @pytest.mark.parametrize("field", ["vocab_size", "num_labels", "dim",

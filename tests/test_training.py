@@ -15,13 +15,13 @@ from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
     metrics_csv, run_gst, synthesize_dataset, synthesize_example, train_epoch
 
 
-def small_run_setup(n=60, seed=21, rate=0.3, dropout=0.0):
+def small_run_setup(n=60, seed=21, rate=0.3):
     rng = np.random.default_rng(seed)
     clean = generate_clean_corpus(n, rng)
     pairs = corrupt_corpus(clean, rate=rate, rng=rng)
     token_vocab, label_vocab = build_vocabs(pairs)
     model = GecModel.create(token_vocab, label_vocab, seed=seed, dim=16,
-                            layers=1, heads=2, max_len=32, dropout=dropout)
+                            layers=1, heads=2, max_len=32)
     return pairs, model
 
 
@@ -262,7 +262,7 @@ def run_snapshot(state):
 
 @pytest.mark.parametrize("trained", [0, 1])
 def test_training_a_fork_leaves_its_parent_unchanged(trained):
-    pairs, model = small_run_setup(n=20, dropout=0.1)
+    pairs, model = small_run_setup(n=20)
     cfg = TrainingConfig(stages=trained + 2, gamma=0.1, beta=0.2, lr=1e-3,
                          seed=8)
     state = training.start_run(model, pairs, cfg)
@@ -284,14 +284,14 @@ def test_training_a_fork_leaves_its_parent_unchanged(trained):
 def test_forked_continuation_equals_the_unforked_run():
     cfg = TrainingConfig(stages=3, epochs_per_stage=2, gamma=0.1, beta=0.2,
                          lr=1e-3, seed=8)
-    pairs, model = small_run_setup(n=24, dropout=0.1)
+    pairs, model = small_run_setup(n=24)
     heldout, train = pairs[:4], pairs[4:]
     state = training.start_run(model, train, cfg)
     first = training.train_stage(state, cfg, [], heldout)
     fork = state.fork()
     metrics = [first] + training.run_stages(fork, cfg, heldout)
 
-    ref_pairs, ref_model = small_run_setup(n=24, dropout=0.1)
+    ref_pairs, ref_model = small_run_setup(n=24)
     _, ref = run_gst(ref_model, ref_pairs[4:], cfg, heldout_pairs=heldout)
     assert metrics == ref
     for k, a in ref_model.params.items():
@@ -316,11 +316,11 @@ def test_run_gst_equals_a_started_run_trained_in_pieces():
 
 
 def test_stages_without_synthesis_equal_one_long_stage():
-    pairs, model = small_run_setup(n=20, dropout=0.1)
+    pairs, model = small_run_setup(n=20)
     long = TrainingConfig(stages=1, epochs_per_stage=4, lr=1e-3, seed=21)
     _, ref = run_gst(model, pairs, long)
 
-    short_pairs, short_model = small_run_setup(n=20, dropout=0.1)
+    short_pairs, short_model = small_run_setup(n=20)
     short = TrainingConfig(stages=2, epochs_per_stage=2, lr=1e-3, seed=21)
     state = training.start_run(short_model, short_pairs, short)
     metrics = [training.train_stage(state, short, []) for _ in range(2)]
