@@ -27,7 +27,7 @@ from .corpus import TokenVocab
 from .errors import BadMagicError, CheckpointFormatError, \
     TruncatedCheckpointError
 from .labels import LabelVocab
-from .model import GecModel, ModelConfig, _name_at, flat_params, \
+from .model import GecModel, ModelConfig, flat_params, non_finite_entry, \
     param_shapes, param_views
 
 MAGIC = b"GST1"
@@ -130,13 +130,7 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     # a view on a little-endian host; a big-endian one swaps into a copy
     flat = flat.astype(cfg.dtype, copy=False)
     params = param_views(flat, shapes)
-    # one dot product screens every weight; a non-finite one may only
-    # have overflowed, so the exact check decides
-    with np.errstate(over="ignore"):
-        screen = flat @ flat
-    if not np.isfinite(screen):
-        finite = np.isfinite(flat)
-        if not finite.all():
-            name = _name_at(params, int(finite.argmin()))
-            raise CheckpointFormatError(f"non-finite weight in {name!r}")
+    name = non_finite_entry(params, flat)
+    if name is not None:
+        raise CheckpointFormatError(f"non-finite weight in {name!r}")
     return GecModel(cfg, params, token_vocab, label_vocab), extra

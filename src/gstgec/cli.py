@@ -8,8 +8,9 @@ are checked by the config dataclasses, which each subcommand builds
 before it reads any input; every output path is checked then too (its
 directory must exist, and it must not be a directory itself).
 
-Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint),
-2 usage or config error (a bad flag or an out-of-range setting).
+Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint,
+or a model too large to allocate), 2 usage or config error (a bad flag
+or an out-of-range setting).
 """
 
 from __future__ import annotations
@@ -268,8 +269,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GstError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GstError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
 
 

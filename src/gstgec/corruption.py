@@ -18,53 +18,42 @@ ALL_RULES = ("case", "article_del", "duplicate", "verb_form", "noun_num")
 _ARTICLES = {"a", "an", "the", "A", "An", "The"}
 
 
-def _flip_case(token: str) -> str | None:
-    if not token or not token[0].isalpha():
-        return None
-    return morph.apply_case(
-        token, "LOW_FIRST" if token[0].isupper() else "UP_FIRST")
-
-
-def _applicable(token: str, rules) -> list[str]:
-    out = []
-    for rule in rules:
-        if rule == "case" and _flip_case(token) is not None:
-            out.append(rule)
-        elif rule == "article_del" and token in _ARTICLES:
-            out.append(rule)
-        elif rule == "duplicate":
-            out.append(rule)
-        elif rule == "verb_form" and morph.verb_form_alternatives(token):
-            out.append(rule)
-        elif rule == "noun_num":
-            toggled = morph.toggle_number(token)
-            if toggled is not None and toggled != token:
-                out.append(rule)
-    return out
+def _rewrites(token: str, rule: str) -> list[tuple[str, ...]]:
+    """Each way rule rewrites token, as a tuple of output tokens; empty
+    when the rule does not apply, or is not one of ALL_RULES."""
+    if rule == "case":
+        if token and token[0].isalpha():
+            flip = "LOW_FIRST" if token[0].isupper() else "UP_FIRST"
+            return [(morph.apply_case(token, flip),)]
+    elif rule == "article_del":
+        if token in _ARTICLES:
+            return [()]
+    elif rule == "duplicate":
+        return [(token, token)]
+    elif rule == "verb_form":
+        return [(alt,) for alt in morph.verb_form_alternatives(token)]
+    elif rule == "noun_num":
+        toggled = morph.toggle_number(token)
+        if toggled is not None and toggled != token:
+            return [(toggled,)]
+    return []
 
 
 def corrupt_sentence(clean: TokenSeq, rate: float,
                      rng: np.random.Generator,
                      rules=ALL_RULES) -> SentencePair:
     """Independently corrupt each non-sentinel token with the given
-    probability, choosing uniformly among the applicable rules."""
+    probability, choosing uniformly among the applicable rules, then
+    among the chosen rule's rewrites."""
     out = [SENTINEL]
     for token in clean[1:]:
         if rate > 0 and rng.random() < rate:
-            options = _applicable(token, rules)
+            options = [r for r in (_rewrites(token, rule) for rule in rules)
+                       if r]
             if options:
-                rule = options[int(rng.integers(len(options)))]
-                if rule == "case":
-                    out.append(_flip_case(token))
-                elif rule == "article_del":
-                    pass
-                elif rule == "duplicate":
-                    out.extend((token, token))
-                elif rule == "verb_form":
-                    alts = morph.verb_form_alternatives(token)
-                    out.append(alts[int(rng.integers(len(alts)))])
-                elif rule == "noun_num":
-                    out.append(morph.toggle_number(token))
+                rewrites = options[int(rng.integers(len(options)))]
+                # integers(1) draws nothing, so a single rewrite costs no draw
+                out.extend(rewrites[int(rng.integers(len(rewrites)))])
                 continue
         out.append(token)
     return SentencePair(tuple(out), clean)

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import morph
-from .corpus import SENTINEL, SentencePair, TokenSeq
+from .corpus import SentencePair, TokenSeq
 
 
 class Kind(str, Enum):
@@ -294,15 +294,14 @@ def _classify_sub(src, tgt, ops, idx):
             and ops[idx + 1][1] == i + 1 and s + src[i + 1] == t):
         return MERGE, DELETE, 2
     # split: sub to the first dash part, then insertions of the rest
-    if "-" in s:
-        parts = s.split("-")
-        if len(parts) >= 2 and all(parts) and parts[0] == t:
-            k = len(parts) - 1
-            tail = ops[idx + 1: idx + 1 + k]
-            if (len(tail) == k
-                    and all(op[0] == "ins" and op[1] == i for op in tail)
-                    and [tgt[op[2]] for op in tail] == parts[1:]):
-                return SPLIT, None, 1 + k
+    parts = morph.split_hyphen(s)
+    if parts is not None and parts[0] == t:
+        k = len(parts) - 1
+        tail = ops[idx + 1: idx + 1 + k]
+        if (len(tail) == k
+                and all(op[0] == "ins" and op[1] == i for op in tail)
+                and [tgt[op[2]] for op in tail] == parts[1:]):
+            return SPLIT, None, 1 + k
     if morph.toggle_number(s) == t:
         return NUMBER, None, 1
     tag = morph.detect_verb_form(s, t)
@@ -381,12 +380,12 @@ def apply_labels_with_warnings(
                 out.append(tok + src[i + 1])
                 i += 1  # the merged-in token's own label is ignored
         elif kind is Kind.SPL:
-            parts = tok.split("-")
-            if "-" in tok and len(parts) >= 2 and all(parts):
-                out.extend(parts)
-            else:
+            parts = morph.split_hyphen(tok)
+            if parts is None:
                 warnings.append(f"pos {i}: SPL on unsplittable {tok!r}")
                 out.append(tok)
+            else:
+                out.extend(parts)
         elif kind is Kind.NNUM:
             toggled = morph.toggle_number(tok)
             if toggled is None:

@@ -118,8 +118,11 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Uniform(-0.1, 0.1) weights; layer-norm gain 1, biases 0; all views
     of one vector."""
     rng = np.random.default_rng(seed)
+    # sized from a lazy walk, so a model too large to allocate fails
+    # before the shapes of all its layers are held at once
+    flat = np.empty(sum(math.prod(shape) for _, shape in param_shapes(cfg)),
+                    cfg.dtype)
     shapes = dict(param_shapes(cfg))
-    flat = np.empty(sum(map(math.prod, shapes.values())), cfg.dtype)
     params = param_views(flat, shapes)
     for name, arr in params.items():
         base = name.split(".")[-1]
@@ -164,6 +167,26 @@ def flat_params(params: dict) -> np.ndarray:
         view[...] = params[name]
     params.update(views)
     return flat
+
+
+def non_finite_entry(params: dict, flat: np.ndarray) -> str | None:
+    """The entry of params that holds the first NaN or infinity of flat,
+    a vector laid out like params' vector (the weights or their
+    gradients), or None when every value is finite.  One dot product
+    screens the vector; finite values whose squares overflow also fail
+    it, so the exact check runs only then."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = flat @ flat
+    if np.isfinite(screen):
+        return None
+    finite = np.isfinite(flat)
+    if finite.all():
+        return None
+    index = int(finite.argmin())
+    for name, a in params.items():
+        if index < a.size:
+            return name
+        index -= a.size
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -445,14 +468,6 @@ class AdamState:
     views: tuple = field(default=(), repr=False, compare=False)
 
 
-def _name_at(params: dict, index: int) -> str:
-    """The entry of params that holds element index of its vector."""
-    for name, a in params.items():
-        if index < a.size:
-            return name
-        index -= a.size
-
-
 def adam_step(params, grads, state: AdamState, lr: float) -> None:
     """One in-place Adam update; rejects non-finite gradients.
 
@@ -481,18 +496,14 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     elif state.m.shape != flat.shape:
         raise ValueError("optimizer state does not match the parameters")
-    size = min(ADAM_CHUNK, n)
-    finite = np.empty(size, bool)
-    for s in range(0, n, ADAM_CHUNK):
-        gc = g[s:s + ADAM_CHUNK]
-        ok = np.isfinite(gc, out=finite[:len(gc)])
-        if not ok.all():
-            name = _name_at(params, s + int(ok.argmin()))
-            raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    name = non_finite_entry(params, g)
+    if name is not None:
+        raise NonFiniteGradientError(f"non-finite gradient in {name}")
 
     beta1, beta2, eps = ADAM
     state.t += 1
     c1, c2 = 1 - beta1 ** state.t, 1 - beta2 ** state.t
+    size = min(ADAM_CHUNK, n)
     # the moment terms take the gradient's dtype, the step the weights'
     gtmp = np.empty(size, g.dtype)
     tmp, tmp2 = np.empty(size, flat.dtype), np.empty(size, flat.dtype)

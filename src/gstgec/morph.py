@@ -1,10 +1,11 @@
 """Word-level rewrite rules backing the parameterized edit labels.
 
-Three rule families live here: case changes (purely algorithmic),
-noun-number toggling (suffix rules plus an irregular lexicon), and
-verb-form mapping (an explicit irregular table plus regular suffix
-rules over a list of common lemmas).  Every applier returns ``None``
-when no rule fires, so callers can fall back to a plain replacement.
+Four rule families live here: case changes and hyphen splits (purely
+algorithmic), noun-number toggling (suffix rules plus an irregular
+lexicon), and verb-form mapping (an explicit irregular table plus
+regular suffix rules over a list of common lemmas).  Every applier
+returns ``None`` when no rule fires, so callers can fall back to a
+plain replacement.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ CASE_RULES = ("UP_FIRST", "LOW_FIRST", "ALL_UP", "ALL_LOW")
 VERB_TAGS = ("BASE", "3SG", "PAST", "PASTPART", "GERUND")
 
 # ---------------------------------------------------------------------------
-# Case
+# Case and hyphens
 # ---------------------------------------------------------------------------
 
 
@@ -45,6 +46,15 @@ def detect_case(src: str, tgt: str) -> str | None:
         if apply_case(src, rule) == tgt:
             return rule
     return None
+
+
+def split_hyphen(word: str) -> list[str] | None:
+    """The parts of word at its hyphens; None unless it has one and no
+    part is empty."""
+    if "-" not in word:  # the common case, first: extraction tries every sub
+        return None
+    parts = word.split("-")
+    return parts if all(parts) else None
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +220,18 @@ VERB_FORMS: dict[str, tuple[str, str, str, str, str]] = dict(_IRREGULAR_VERBS)
 for _lemma in _REGULAR_LEMMAS:
     VERB_FORMS[_lemma] = _regular_forms(_lemma)
 
-# form -> ordered list of lemmas that realize it
-_FORM_INDEX: dict[str, list[str]] = {}
+# form -> the first lemma, in VERB_FORMS order, that realizes it
+_FORM_LEMMA: dict[str, str] = {}
 for _lemma, _forms in VERB_FORMS.items():
     for _form in _forms:
-        _FORM_INDEX.setdefault(_form, [])
-        if _lemma not in _FORM_INDEX[_form]:
-            _FORM_INDEX[_form].append(_lemma)
-
-
-def _lemma_of(word: str) -> str | None:
-    lemmas = _FORM_INDEX.get(word)
-    if lemmas:
-        return lemmas[0]
-    return None
+        _FORM_LEMMA.setdefault(_form, _lemma)
 
 
 def apply_verb_form(word: str, tag: str) -> str | None:
     """Map a verb token to the requested form of its lemma."""
     if tag not in VERB_TAGS:
         return None
-    lemma = _lemma_of(word)
+    lemma = _FORM_LEMMA.get(word)
     if lemma is None:
         return None
     return VERB_FORMS[lemma][VERB_TAGS.index(tag)]
@@ -240,7 +241,7 @@ def detect_verb_form(src: str, tgt: str) -> str | None:
     """Tag such that apply_verb_form(src, tag) == tgt, or None."""
     if src == tgt:
         return None
-    lemma = _lemma_of(src)
+    lemma = _FORM_LEMMA.get(src)
     if lemma is None:
         return None
     forms = VERB_FORMS[lemma]
@@ -252,7 +253,7 @@ def detect_verb_form(src: str, tgt: str) -> str | None:
 
 def verb_form_alternatives(word: str) -> list[str]:
     """Distinct forms of word's lemma other than word itself."""
-    lemma = _lemma_of(word)
+    lemma = _FORM_LEMMA.get(word)
     if lemma is None:
         return []
     out = []

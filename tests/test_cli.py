@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +369,57 @@ def test_bad_value_exits_2_before_reading_inputs(tmp_path, argv):
     except SystemExit as exc:  # argparse exits itself on a flag conflict
         code = exc.code
     assert code == 2
+
+
+# 10**16 positions × dim 8 ask for 3.2e17 bytes: past any x86-64 address
+# space, so the allocation fails at once, but below numpy's 2**63-byte
+# limit, past which it would raise ValueError instead of MemoryError
+TOO_LARGE_ARGS = ["--dim", "8", "--heads", "2", "--max-len", str(10 ** 16)]
+
+
+def test_model_too_large_to_allocate_exits_1(tmp_path, capsys):
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data)
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 *TOO_LARGE_ARGS])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Reports a command's exit code and peak resident size.  Linux counts a
+# child's peak from its parent's resident size at the fork, so the
+# command is forked from this small process, not from the test's.
+PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+def test_model_too_large_to_allocate_fails_in_bounded_memory(tmp_path):
+    # the parameter vector is sized before any layer's shapes are kept;
+    # tracemalloc cannot bound this, as it counts the failed request
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(cli.__file__).parents[1]),
+               os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_LAUNCHER, sys.executable, "-m",
+         "gstgec.cli", "train", "--data", str(data), "--out",
+         str(tmp_path / "m.gst"), *TOO_LARGE_ARGS, "--layers", "100000"],
+        capture_output=True, text=True, env=env, check=True)
+    code, peak_kb = map(int, result.stdout.split())
+    assert code == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert peak_kb < 120 * 1024  # ru_maxrss is in kilobytes on Linux
 
 
 def test_train_negative_layers_exits_2(tmp_path, capsys):

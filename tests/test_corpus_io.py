@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import os
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +409,19 @@ def test_checkpoint_non_finite_weights_exit_1(tmp_path, capsys, command,
     assert f"'{array}'" in err
 
 
+def test_checkpoint_signaling_nan_weight_is_named_without_a_warning(
+        tmp_path):
+    # a signaling NaN, as one flipped bit can make, raises the invalid
+    # flag in the screen's dot product
+    path = tmp_path / "model.gst"
+    save_checkpoint(_tiny_model(), path)
+    _edit_weights(path, lambda w: w.view("<u4").__setitem__(-1, 0x7F800001))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CheckpointFormatError, match="'gel_b'"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_weights_whose_squares_overflow_load(tmp_path):
     # the screen is a dot product, which can overflow on finite weights
     model = _tiny_model()
@@ -413,6 +430,76 @@ def test_checkpoint_weights_whose_squares_overflow_load(tmp_path):
     save_checkpoint(model, path)
     loaded, _ = load_checkpoint(path)
     assert loaded.params["gel_b"].tolist() == [np.float32(3e38)] * 4
+
+
+MODEL_FIELDS = ("vocab_size", "num_labels", "dim", "layers", "heads",
+                "max_len", "dropout", "dtype")
+DELETED = object()
+FIELD_VALUES = st.one_of(st.just(DELETED), st.none(), st.booleans(),
+                         st.integers(-2, 2 ** 70), st.floats(),
+                         st.text(max_size=4), st.lists(st.integers(),
+                                                       max_size=2))
+
+
+def _mutate(base: bytes, data) -> bytes:
+    """base with one byte flipped in the header, config document or
+    weights, cut short, or with one model field edited or deleted."""
+    start = 8 + int.from_bytes(base[4:8], "little")
+    kind = data.draw(st.sampled_from(
+        ["header", "document", "weights", "truncate", "field"]))
+    if kind == "truncate":
+        return base[:data.draw(st.integers(0, len(base) - 1))]
+    if kind == "field":
+        doc = json.loads(base[8:start])
+        field = data.draw(st.sampled_from(MODEL_FIELDS))
+        value = data.draw(FIELD_VALUES)
+        if value is DELETED:
+            del doc["model"][field]
+        else:
+            doc["model"][field] = value
+        blob = json.dumps(doc).encode("utf-8")
+        return base[:4] + len(blob).to_bytes(4, "little") + blob + base[start:]
+    low, high = {"header": (0, 8), "document": (8, start),
+                 "weights": (start, len(base))}[kind]
+    out = bytearray(base)
+    out[data.draw(st.integers(low, high - 1))] ^= data.draw(
+        st.integers(1, 255))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mutated")
+    save_checkpoint(_tiny_model(), root / "base.gst")
+    write_parallel_tsv([SentencePair((SENTINEL, "a", "b"),
+                                     (SENTINEL, "a", "c"))],
+                       root / "pairs.tsv")
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_exits_0_or_1_with_one_error_line(mutation_dir,
+                                                             data):
+    path = mutation_dir / "mutated.gst"
+    path.write_bytes(_mutate((mutation_dir / "base.gst").read_bytes(), data))
+    pairs = str(mutation_dir / "pairs.tsv")
+    for command, *argv in (
+            ["correct", "--input", pairs],
+            ["synthesize", "--data", pairs,
+             "--out", str(mutation_dir / "syn.tsv")]):
+        err = io.StringIO()
+        began = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, "--model", str(path), *argv])
+        assert time.perf_counter() - began < 2.0
+        assert code in (0, 1)
+        if code == 1:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
 
 
 @pytest.mark.parametrize("field", ["vocab_size", "num_labels", "dim",

@@ -323,6 +323,25 @@ def test_adam_step_names_a_non_finite_tensor_and_changes_nothing(name):
     assert state.t == 1
 
 
+def test_adam_step_on_gradients_whose_squares_overflow_equals_reference():
+    # the non-finite screen is a dot product, which overflows on these
+    # finite gradients, so the exact check must let the step run
+    cfg = chunked_cfg("float32")
+    params = init_params(cfg, 3)
+    ref = {k: v.copy() for k, v in params.items()}
+    state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+    grads = random_grads(params, np.random.default_rng(5))
+    grads["gel_b"][:] = 1e20
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(grads["gel_b"] @ grads["gel_b"])
+        adam_step(params, grads, state, 1e-3)
+        reference_adam_step(ref, grads, ref_state, 1e-3)
+    assert_same_bytes(params, ref)
+    m, v = moments(ref_state, ref)
+    assert state.m.tobytes() == m.tobytes()
+    assert state.v.tobytes() == v.tobytes()
+
+
 def test_init_params_are_views_of_one_vector():
     params = init_params(small_cfg(), 0)
     arrays = list(params.values())

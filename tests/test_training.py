@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,32 @@ def test_corrupt_case_rule_rate_one():
 def test_corrupt_empty_corpus_rejected():
     with pytest.raises(ValueError):
         corrupt_corpus([], rate=0.1, rng=np.random.default_rng(0))
+
+
+def test_corrupt_unknown_rule_matches_nothing():
+    rng = np.random.default_rng(1)
+    clean = tokenize("he ran home")
+    assert corrupt_sentence(clean, 1.0, rng, rules=("bogus",)).source == clean
+    pair = corrupt_sentence(clean, 1.0, rng, rules=("bogus", "case"))
+    assert pair.source == tokenize("He Ran Home")
+
+
+def test_corrupt_corpus_streams_are_pinned():
+    # every benchmark input and acceptance gate is built from these
+    # streams: the corrupted pairs and the generator state after them
+    digest = hashlib.sha256()
+    for seed in range(5):
+        for rate in (0.1, 0.3, 1.0):
+            for rules in (ALL_RULES, ("verb_form",),
+                          ("article_del", "noun_num", "bogus")):
+                rng = np.random.default_rng(seed)
+                pairs = corrupt_corpus(generate_clean_corpus(200, rng), rate,
+                                       rng, rules)
+                digest.update(repr([(p.source, p.target)
+                                    for p in pairs]).encode())
+                digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == ("d076156665976bf5ea9d03c9daf03718"
+                                  "875e7e4e42e4733ef0c57c01ce09d54f")
 
 
 def test_corrupt_measured_error_rate_tracks_config():

@@ -345,11 +345,13 @@ def test_apply_merge_final_position_warns():
 
 
 def test_apply_split_without_dash_warns():
-    src = tokenize("plain")
-    out, warnings = apply_labels_with_warnings(
-        src, [KEEP, TransformLabel(Kind.SPL)])
-    assert out == src
-    assert warnings
+    # no hyphen, or a hyphen that leaves an empty part
+    for word in ("plain", "a--b", "-a", "a-"):
+        src = tokenize(word)
+        out, warnings = apply_labels_with_warnings(
+            src, [KEEP, TransformLabel(Kind.SPL)])
+        assert out == src
+        assert warnings
 
 
 def test_apply_inapplicable_rules_warn():
@@ -367,6 +369,7 @@ def test_apply_inapplicable_rules_warn():
 
 
 @pytest.mark.parametrize("src,tgt", [("well-known", "well known"),
+                                     ("a-b-c", "a b c"),
                                      ("over all", "overall")])
 def test_split_and_merge_round_trip(src, tgt):
     final, rounds = correct_iteratively(tokenize(src), tokenize(tgt))
