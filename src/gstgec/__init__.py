@@ -9,29 +9,3 @@ sampling from the model's own label distribution.
 """
 
 __version__ = "0.1.0"
-
-from .corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
-    read_parallel_tsv, tokenize, write_parallel_tsv
-from .errors import GstError
-from .inference import CorrectionTrace, InferenceConfig, correct
-from .labels import Kind, LabelSequence, LabelVocab, TransformLabel, \
-    apply_labels, extract_labels, format_label, \
-    measure_error_rate, parse_label
-from .model import GecModel, ModelConfig, TokenDistributions
-from .sampling import SamplingConfig, SamplingMode, sample_gumbel, \
-    sample_ids
-from .scoring import ScoreReport, extract_edits, f_beta, score_corpus
-from .training import TrainingConfig, run_gst, synthesize_example
-
-__all__ = [
-    "SENTINEL", "SentencePair", "TokenVocab", "detokenize",
-    "read_parallel_tsv", "tokenize", "write_parallel_tsv",
-    "GstError", "CorrectionTrace", "InferenceConfig", "correct",
-    "Kind", "LabelSequence", "LabelVocab",
-    "TransformLabel", "apply_labels", "extract_labels",
-    "format_label", "measure_error_rate", "parse_label", "GecModel",
-    "ModelConfig", "TokenDistributions", "SamplingConfig", "SamplingMode",
-    "sample_gumbel", "sample_ids",
-    "ScoreReport", "extract_edits", "f_beta", "score_corpus",
-    "TrainingConfig", "run_gst", "synthesize_example",
-]

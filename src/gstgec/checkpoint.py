@@ -27,8 +27,8 @@ from .corpus import TokenVocab
 from .errors import BadMagicError, CheckpointFormatError, \
     TruncatedCheckpointError
 from .labels import LabelVocab
-from .model import GecModel, ModelConfig, flat_params, non_finite_entry, \
-    param_shapes, param_views
+from .model import GecModel, ModelConfig, flat_params, param_shapes, \
+    param_views
 
 MAGIC = b"GST1"
 
@@ -93,7 +93,8 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
 def load_checkpoint(path) -> tuple[GecModel, dict]:
     """Returns the model and the saved extra-config dict.  Nothing is
     read or allocated at a size the file declares until the file is
-    known to hold that many bytes; non-finite weights are rejected."""
+    known to hold that many bytes; weights that are not finite, or
+    whose sum of squares overflows the dtype, are rejected."""
     with open(path, "rb") as fh:
         status = os.fstat(fh.fileno())
         if not stat.S_ISREG(status.st_mode):
@@ -130,7 +131,14 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     # a view on a little-endian host; a big-endian one swaps into a copy
     flat = flat.astype(cfg.dtype, copy=False)
     params = param_views(flat, shapes)
-    name = non_finite_entry(params, flat)
-    if name is not None:
-        raise CheckpointFormatError(f"non-finite weight in {name!r}")
+    # weights whose squares overflow the dtype overflow in the forward
+    # pass, so one dot product screens out those and NaN and infinity
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(flat @ flat):
+            name = next((name for name, a in params.items()
+                         if not np.isfinite(a.ravel() @ a.ravel())), None)
+            what = "weights" if name is None else f"weight array {name!r}"
+            raise CheckpointFormatError(
+                f"{what}: sum of squares not finite in {cfg.dtype} "
+                "(a NaN, an infinity or too large a weight)")
     return GecModel(cfg, params, token_vocab, label_vocab), extra

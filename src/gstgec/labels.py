@@ -142,11 +142,9 @@ class LabelVocab:
         seen.discard(UNK_LABEL_STRING)
         return cls(["$KEP", UNK_LABEL_STRING] + sorted(seen))
 
-    def label_to_id(self, label: TransformLabel) -> int:
-        return self._ids.get(format_label(label), self._ids[UNK_LABEL_STRING])
-
     def encode(self, labels: LabelSequence):
-        return [self.label_to_id(lab) for lab in labels]
+        ids, unknown = self._ids, self._ids[UNK_LABEL_STRING]
+        return [ids.get(format_label(lab), unknown) for lab in labels]
 
     def decode(self, ids) -> LabelSequence:
         """Labels for one predicted id per position: the unknown label

@@ -171,10 +171,10 @@ def flat_params(params: dict) -> np.ndarray:
 
 def non_finite_entry(params: dict, flat: np.ndarray) -> str | None:
     """The entry of params that holds the first NaN or infinity of flat,
-    a vector laid out like params' vector (the weights or their
-    gradients), or None when every value is finite.  One dot product
-    screens the vector; finite values whose squares overflow also fail
-    it, so the exact check runs only then."""
+    a vector laid out like params' vector (the gathered gradients), or
+    None when every value is finite.  One dot product screens the
+    vector; finite values whose squares overflow also fail it, so the
+    exact check runs only then, and such values pass."""
     with np.errstate(over="ignore", invalid="ignore"):
         screen = flat @ flat
     if np.isfinite(screen):
@@ -343,14 +343,6 @@ def forward(params, ids, cfg: ModelConfig) -> TokenDistributions:
     return TokenDistributions(ged=ged, gel=gel)
 
 
-def _as_batch(seqs) -> list[np.ndarray]:
-    """A mini-batch as per-sentence arrays; a bare 1-D sequence is a
-    batch of one."""
-    if len(seqs) and np.ndim(seqs[0]) == 0:
-        return [np.asarray(seqs)]
-    return [np.asarray(s) for s in seqs]
-
-
 def _pad_batch(ids, label_ids, cfg, dtype):
     """Validate a mini-batch and pad it to its longest sentence.
 
@@ -359,9 +351,12 @@ def _pad_batch(ids, label_ids, cfg, dtype):
     b's tokens, 0 on padding) and the key-padding mask for _encode_fwd.
     A sentence longer than the window is truncated with its labels.
     """
-    ids, label_ids = _as_batch(ids), _as_batch(label_ids)
+    ids = [np.asarray(s) for s in ids]
+    label_ids = [np.asarray(s) for s in label_ids]
     if not ids:
         raise ValueError("empty batch")
+    if any(s.ndim != 1 for s in ids + label_ids):
+        raise ValueError("each sentence must be a sequence of ids")
     if len(label_ids) != len(ids):
         raise ValueError("label batch must match the id batch")
     if any(len(lab) != len(s) for s, lab in zip(ids, label_ids)):
@@ -413,12 +408,11 @@ def loss_and_grads(params, ids, label_ids, cfg: ModelConfig):
     """Detection + labeling cross-entropy of a mini-batch and its exact
     gradient for every parameter.
 
-    ids and label_ids are sequences of per-sentence arrays (a bare 1-D
-    array is a batch of one); a token's detection target is 1 when its
-    label is not keep (id 0).  The loss is the mean over sentences of
-    each sentence's mean-token loss.  The batch runs as one padded
-    encoder pass; padded positions carry zero loss weight, so their
-    gradient rows are exactly zero.
+    ids and label_ids are sequences of per-sentence arrays; a token's
+    detection target is 1 when its label is not keep (id 0).  The loss
+    is the mean over sentences of each sentence's mean-token loss.  The
+    batch runs as one padded encoder pass; padded positions carry zero
+    loss weight, so their gradient rows are exactly zero.
     """
     dtype = params["tok_emb"].dtype
     ids, label_ids, detect, weights, key_bias = _pad_batch(

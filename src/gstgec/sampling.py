@@ -38,6 +38,13 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        try:
+            mode = SamplingMode(self.mode)
+        except ValueError:
+            raise ConfigError(f"unknown sampling mode {self.mode!r}") from None
+        # a value such as "gumbel" becomes the member, which sample_ids
+        # compares by identity
+        object.__setattr__(self, "mode", mode)
         # NaN fails the comparison; a non-finite tau keeps every token
         if not 0 < self.tau < np.inf:
             raise ConfigError("tau must be finite and positive")
@@ -88,9 +95,7 @@ def sample_ids(rows, config: SamplingConfig, beta: float,
     if config.mode is SamplingMode.GUMBEL_SOFTMAX:
         noise = sample_gumbel(np.shape(rows), rng)
         return keep_biased_ids(relax_with_noise(rows, noise, config.tau), beta)
-    if config.mode is SamplingMode.RANDOM:
-        return rng.integers(np.shape(rows)[-1], size=np.shape(rows)[:-1])
-    raise ValueError(f"unknown sampling mode {config.mode!r}")
+    return rng.integers(np.shape(rows)[-1], size=np.shape(rows)[:-1])
 
 
 # Nothing in the pipeline calls this one-row wrapper; it stays only

@@ -14,7 +14,8 @@ data; raising the gate shrinks how much of the corpus is synthesized
 from.
 
 Synthesis samples a whole sentence at once: the sentinel's label row is
-masked with the label vocabulary's precomputed sentinel mask, and one
+masked with the label vocabulary's precomputed sentinel mask (a row
+that keeps no mass becomes a certain keep), and one
 ``sampling.sample_ids`` call draws a label id per row under the
 configured mode and keep bias.
 
@@ -154,7 +155,11 @@ def synthesize_example(model: GecModel, pair: SentencePair,
     vocab = model.label_vocab
     rows = dists.gel.astype(np.float64)
     rows[0] *= vocab.sentinel_mask
-    rows /= rows.sum(axis=-1, keepdims=True)
+    mass = rows.sum(axis=-1, keepdims=True)
+    if mass[0, 0] == 0:
+        # no admitted label kept any mass: the sentinel keeps, as in decode
+        rows[0, 0] = mass[0, 0] = 1
+    rows /= mass
     ids = sample_ids(rows, cfg.sampling, cfg.beta, rng)
     sampled = vocab.decode(ids.tolist())
     synthetic_source = apply_labels(pair.source, sampled)
@@ -328,9 +333,12 @@ def run_gst(model: GecModel, genuine_pairs, cfg: TrainingConfig,
 
 
 def metrics_csv(metrics: list[StageMetrics]) -> str:
-    """CSV rows (stage, epoch, train_loss, P, R, F0.5); the held-out
-    columns are filled on each stage's last epoch row."""
-    lines = ["stage,epoch,train_loss,precision,recall,f_half"]
+    """CSV rows (stage, epoch, train_loss, P, R, F0.5, synthetic_count,
+    synthetic_error_rate); the held-out columns are filled on each
+    stage's last epoch row, and the synthetic set's size and label error
+    rate on every row of the stage that trained on it."""
+    lines = ["stage,epoch,train_loss,precision,recall,f_half,"
+             "synthetic_count,synthetic_error_rate"]
     for m in metrics:
         for epoch, loss in enumerate(m.epoch_losses, start=1):
             last = epoch == len(m.epoch_losses)
@@ -339,5 +347,6 @@ def metrics_csv(metrics: list[StageMetrics]) -> str:
                         f"{m.eval.f_half:.4f}")
             else:
                 tail = ",,"
-            lines.append(f"{m.stage},{epoch},{loss:.6f},{tail}")
+            lines.append(f"{m.stage},{epoch},{loss:.6f},{tail},"
+                         f"{m.synthetic_count},{m.synthetic_error_rate:.4f}")
     return "\n".join(lines) + "\n"

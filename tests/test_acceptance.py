@@ -97,9 +97,9 @@ def test_criterion_3_gradient_check(capsys):
     def central_diff(params, ids, labels, flat, i, h):
         orig = flat[i]
         flat[i] = orig + h
-        lp = loss_only(params, ids, labels, cfg)
+        lp = loss_only(params, [ids], [labels], cfg)
         flat[i] = orig - h
-        lm = loss_only(params, ids, labels, cfg)
+        lm = loss_only(params, [ids], [labels], cfg)
         flat[i] = orig
         return (lp - lm) / (2 * h)
 
@@ -111,7 +111,7 @@ def test_criterion_3_gradient_check(capsys):
         n = int(rng.integers(2, 7))
         ids = rng.integers(0, cfg.vocab_size, size=n)
         labels = rng.integers(0, cfg.num_labels, size=n)
-        _, grads = loss_and_grads(params, ids, labels, cfg)
+        _, grads = loss_and_grads(params, [ids], [labels], cfg)
         for name, arr in params.items():
             flat = arr.ravel()
             g = grads[name].ravel()

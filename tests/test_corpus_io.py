@@ -387,7 +387,10 @@ def _edit_weights(path, edit) -> None:
 @pytest.mark.parametrize("edit,array", [
     (lambda w: w.fill(np.nan), "tok_emb"),
     (lambda w: w.__setitem__(-1, np.inf), "gel_b"),
-], ids=["all-nan", "last-inf"])
+    # finite, but their squares overflow float32, as in the forward pass
+    (lambda w: w.__setitem__(0, 1e30), "tok_emb"),
+    (lambda w: w.__setitem__(-1, 3e38), "gel_b"),
+], ids=["all-nan", "last-inf", "first-1e30", "last-3e38"])
 @pytest.mark.parametrize("command", ["correct", "synthesize"])
 def test_checkpoint_non_finite_weights_exit_1(tmp_path, capsys, command,
                                               edit, array):
@@ -422,14 +425,19 @@ def test_checkpoint_signaling_nan_weight_is_named_without_a_warning(
             load_checkpoint(path)
 
 
-def test_checkpoint_weights_whose_squares_overflow_load(tmp_path):
-    # the screen is a dot product, which can overflow on finite weights
+def test_checkpoint_weights_whose_squares_overflow_are_rejected(tmp_path):
     model = _tiny_model()
     model.params["gel_b"][:] = 3e38
     path = tmp_path / "model.gst"
     save_checkpoint(model, path)
-    loaded, _ = load_checkpoint(path)
-    assert loaded.params["gel_b"].tolist() == [np.float32(3e38)] * 4
+    with pytest.raises(CheckpointFormatError, match="'gel_b'"):
+        load_checkpoint(path)
+    # each array's squares sum to a finite value, but not all of them
+    model = _tiny_model()
+    model.params["tok_emb"][0, 0] = model.params["gel_b"][0] = 1.5e19
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointFormatError, match="^weights: "):
+        load_checkpoint(path)
 
 
 MODEL_FIELDS = ("vocab_size", "num_labels", "dim", "layers", "heads",

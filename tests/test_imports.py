@@ -11,8 +11,7 @@ import pytest
 
 import gstgec
 
-MODULES = sorted(path for path in Path(gstgec.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+MODULES = sorted(Path(gstgec.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

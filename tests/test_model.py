@@ -18,10 +18,11 @@ def small_cfg(**kw):
 
 
 def random_input(cfg, rng):
+    """A batch of one random sentence: ([ids], [labels])."""
     n = int(rng.integers(2, 7))
     ids = rng.integers(0, cfg.vocab_size, size=n)
     labels = rng.integers(0, cfg.num_labels, size=n)
-    return ids, labels
+    return [ids], [labels]
 
 
 def test_encode_zeroed_projections_is_embedding_sum():
@@ -129,7 +130,7 @@ def test_loss_uniform_heads_value():
     for name in ("ged_W", "ged_b", "gel_W", "gel_b"):
         params[name][:] = 0
     ids = np.array([1, 2, 3])
-    val = loss_only(params, ids, np.array([0, 1, 2]), cfg)
+    val = loss_only(params, [ids], [np.array([0, 1, 2])], cfg)
     assert val == pytest.approx(np.log(2) + np.log(cfg.num_labels), rel=1e-6)
 
 
@@ -140,7 +141,7 @@ def test_detection_target_is_every_non_keep_label():
     params = init_params(cfg, 2)
     ids = np.array([0, 4, 9, 2, 7, 11])
     labels = np.array([0, 1, 3, 0, 1, 6])
-    loss, _ = loss_and_grads(params, ids, labels, cfg)
+    loss, _ = loss_and_grads(params, [ids], [labels], cfg)
     d = forward(params, ids, cfg)
     rows = np.arange(len(ids))
     want = -np.mean(np.log(d.ged[rows, (labels != 0).astype(int)])
@@ -152,14 +153,14 @@ def test_loss_rejects_bad_label_ids():
     cfg = small_cfg()
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
-        loss_and_grads(params, np.array([1, 2]), np.array([0, 99]), cfg)
+        loss_and_grads(params, [np.array([1, 2])], [np.array([0, 99])], cfg)
 
 
 def test_loss_rejects_length_mismatch():
     cfg = small_cfg()
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
-        loss_and_grads(params, np.array([1, 2]), np.array([0]), cfg)
+        loss_and_grads(params, [np.array([1, 2])], [np.array([0])], cfg)
 
 
 def max_rel_grad_error(cfg, seed, h=1e-4):
@@ -478,8 +479,8 @@ def test_padded_batch_gradients_match_finite_differences():
     _, grads = loss_and_grads(params, ids, labels, cfg)
 
     def mean_loss():
-        return np.mean([loss_only(params, *ex, cfg)
-                        for ex in zip(ids, labels)])
+        return np.mean([loss_only(params, [s], [lab], cfg)
+                        for s, lab in zip(ids, labels)])
 
     assert worst_fd_error(params, grads, mean_loss) < 1e-3
 
@@ -490,8 +491,8 @@ def test_batch_gradients_are_the_mean_of_sentence_gradients():
     params = init_params(cfg, 5)
     ids, labels = random_batch(cfg, rng, (7, 1, 4, 7, 3))
     loss, grads = loss_and_grads(params, ids, labels, cfg)
-    singles = [loss_and_grads(params, *ex, cfg)
-               for ex in zip(ids, labels)]
+    singles = [loss_and_grads(params, [s], [lab], cfg)
+               for s, lab in zip(ids, labels)]
     assert loss == pytest.approx(np.mean([s[0] for s in singles]),
                                  rel=0, abs=1e-10)
     assert list(grads) == list(params)
@@ -509,7 +510,7 @@ def test_padded_positions_get_no_gradient():
     ids = [np.array([1, 2]), np.array([3, 4, 5, 6, 7, 8])]
     labels = [np.array([0, 1]), np.array([2, 3, 4, 5, 6, 0])]
     _, batch = loss_and_grads(params, ids, labels, cfg)
-    _, long_only = loss_and_grads(params, ids[1], labels[1], cfg)
+    _, long_only = loss_and_grads(params, [ids[1]], [labels[1]], cfg)
     assert not batch["tok_emb"][0].any()
     assert not batch["pos_emb"][6:].any()
     np.testing.assert_allclose(batch["pos_emb"][2:6],
@@ -614,6 +615,9 @@ def test_batch_rejects_mismatched_and_empty_input():
                        [np.array([0]), np.array([], dtype=int)], cfg)
     with pytest.raises(ValueError):
         loss_and_grads(params, [], [], cfg)
+    # a bare id array is not a batch of one
+    with pytest.raises(ValueError, match="sequence of ids"):
+        loss_and_grads(params, np.array([1, 2]), np.array([0, 1]), cfg)
 
 
 def test_negative_layers_rejected():

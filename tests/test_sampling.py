@@ -151,6 +151,22 @@ def test_tau_must_be_positive():
             SamplingConfig(tau=tau)
 
 
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_mode_given_by_value_draws_as_the_member(mode):
+    probs = np.random.default_rng(22).dirichlet(np.ones(9), size=40)
+    by_value = SamplingConfig(mode=mode.value, tau=0.7)
+    assert by_value.mode is mode
+    want = sample_ids(probs, SamplingConfig(mode=mode, tau=0.7), 0.3,
+                      np.random.default_rng(23))
+    got = sample_ids(probs, by_value, 0.3, np.random.default_rng(23))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_unknown_mode_is_rejected():
+    with pytest.raises(ConfigError, match="'bogus'"):
+        SamplingConfig(mode="bogus")
+
+
 def test_relax_with_noise_rows_equal_row_by_row():
     rng = np.random.default_rng(13)
     probs = rng.dirichlet(np.ones(37), size=9)

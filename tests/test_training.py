@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from gstgec.corruption import ALL_RULES, corrupt_corpus, corrupt_sentence, \
 from gstgec.labels import Kind, correct_iteratively, extract_labels, \
     measure_error_rate
 from gstgec import training
-from gstgec.model import AdamState, GecModel, loss_only
+from gstgec.model import AdamState, GecModel, TokenDistributions, loss_only
 from gstgec.sampling import SamplingConfig, SamplingMode
 from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
     metrics_csv, run_gst, synthesize_dataset, synthesize_example, train_epoch
@@ -79,6 +80,27 @@ def test_synthesize_beta_dominance(toy_model, toy_pairs):
             continue  # error score exactly zero never happens in practice
         assert syn.source == pair.source
         assert syn.labels == gold
+
+
+def test_synthesize_keeps_a_sentinel_whose_row_has_no_admitted_mass(
+        monkeypatch):
+    # an overflowing model can put all of the sentinel row's mass on
+    # labels the sentinel does not admit; masking them leaves no mass
+    pairs, model = small_run_setup(n=20)
+    pair = next(p for p in pairs if p.source != p.target)
+    n, vocab = len(pair.source), model.label_vocab
+    gel = np.eye(len(vocab))[np.zeros(n, dtype=int)]
+    gel[0] = np.eye(len(vocab))[vocab.labels.index("$DEL")]
+    ged = np.tile([0.0, 1.0], (n, 1))
+    monkeypatch.setattr(model, "forward_tokens",
+                        lambda tokens: TokenDistributions(ged, gel))
+    gold = extract_labels(pair)
+    cfg = TrainingConfig(gamma=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        syn = synthesize_example(model, pair, gold, 0, cfg,
+                                 np.random.default_rng(0))
+    assert syn.source == pair.source and syn.labels == gold
 
 
 def test_synthesize_huge_gamma_returns_none(toy_model, toy_pairs):
@@ -235,8 +257,17 @@ def test_run_gst_metrics_and_csv():
     assert all(m.eval is not None for m in metrics)
     csv = metrics_csv(metrics)
     lines = csv.strip().split("\n")
-    assert lines[0] == "stage,epoch,train_loss,precision,recall,f_half"
+    assert lines[0] == ("stage,epoch,train_loss,precision,recall,f_half,"
+                        "synthetic_count,synthetic_error_rate")
     assert len(lines) == 1 + 3 * 2
+    # every row of a stage carries the synthetic set it trained on
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[6:] for row in rows[:2]] == [["0", "0.0000"]] * 2
+    for m, stage_rows in zip(metrics, (rows[0:2], rows[2:4], rows[4:6])):
+        for row in stage_rows:
+            assert row[6:] == [str(m.synthetic_count),
+                               f"{m.synthetic_error_rate:.4f}"]
+    assert metrics[1].synthetic_count > 0
 
 
 def test_run_gst_determinism():
@@ -372,7 +403,8 @@ def test_train_epoch_one_loss_call_per_batch(monkeypatch, n, batch_size):
 def test_train_epoch_returns_mean_sentence_loss():
     pairs, model = small_run_setup(n=9)
     examples = build_dataset(pairs, model.token_vocab, model.label_vocab)
-    before = [loss_only(model.params, ex.src_ids, ex.label_ids, model.cfg)
+    before = [loss_only(model.params, [ex.src_ids], [ex.label_ids],
+                        model.cfg)
               for ex in examples]
     # lr 0 leaves the weights alone, so every batch sees the same model
     loss = train_epoch(model, examples, TrainingConfig(lr=0.0, batch_size=4),
