@@ -24,8 +24,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .corpus import TokenVocab
-from .errors import BadMagicError, CheckpointFormatError, \
-    TruncatedCheckpointError
+from .errors import CheckpointError
 from .labels import LabelVocab
 from .model import GecModel, ModelConfig, flat_params, param_shapes, \
     param_views
@@ -68,25 +67,25 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
         labels = cfg_doc["labels"]
         extra = cfg_doc["extra"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise CheckpointFormatError(f"invalid config document: {exc}") from exc
+        raise CheckpointError(f"invalid config document: {exc}") from exc
     # the labels are parsed on first use, so their type is checked here
     for name, entries in (("tokens", tokens), ("labels", labels)):
         if not (isinstance(entries, list)
                 and set(map(type, entries)) <= {str}):
-            raise CheckpointFormatError(f"{name} must be a list of strings")
+            raise CheckpointError(f"{name} must be a list of strings")
     if not isinstance(model_kwargs, dict):
-        raise CheckpointFormatError("model must be an object")
+        raise CheckpointError("model must be an object")
     dropout = model_kwargs.pop("dropout", 0.0)
     if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
-        raise CheckpointFormatError(f"dropout {dropout!r} is not in [0, 1)")
+        raise CheckpointError(f"dropout {dropout!r} is not in [0, 1)")
     try:
         cfg = ModelConfig(**model_kwargs)
         token_vocab = TokenVocab(tokens)
         label_vocab = LabelVocab(labels)
     except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(str(exc)) from exc
+        raise CheckpointError(str(exc)) from exc
     if cfg.vocab_size != len(token_vocab) or cfg.num_labels != len(label_vocab):
-        raise CheckpointFormatError("config shapes disagree with vocabularies")
+        raise CheckpointError("config shapes disagree with vocabularies")
     return cfg, token_vocab, label_vocab, extra
 
 
@@ -98,17 +97,17 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     with open(path, "rb") as fh:
         status = os.fstat(fh.fileno())
         if not stat.S_ISREG(status.st_mode):
-            raise CheckpointFormatError(f"{path} is not a regular file")
+            raise CheckpointError(f"{path} is not a regular file")
         size = status.st_size
         head = fh.read(8)
         if head[:4] != MAGIC:
-            raise BadMagicError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+            raise CheckpointError(
+                f"bad magic {head[:4]!r}, expected {MAGIC!r}")
         if len(head) < 8:
-            raise TruncatedCheckpointError("file ends inside the header")
+            raise CheckpointError("file ends inside the header")
         start = 8 + int.from_bytes(head[4:], "little")
         if size < start:
-            raise TruncatedCheckpointError(
-                "file ends inside the config document")
+            raise CheckpointError("file ends inside the config document")
         cfg, token_vocab, label_vocab, extra = _read_config(
             fh.read(start - 8))
 
@@ -119,15 +118,15 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         for name, shape in param_shapes(cfg):
             end += stored.itemsize * math.prod(shape)
             if end > size:
-                raise TruncatedCheckpointError(
+                raise CheckpointError(
                     f"file ends inside weight array {name!r}")
             shapes[name] = shape
         if end != size:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"{size - end} trailing bytes after declared arrays")
         flat = np.empty((end - start) // stored.itemsize, stored)
         if fh.readinto(flat) != flat.nbytes:
-            raise TruncatedCheckpointError("file ends inside the weights")
+            raise CheckpointError("file ends inside the weights")
     # a view on a little-endian host; a big-endian one swaps into a copy
     flat = flat.astype(cfg.dtype, copy=False)
     params = param_views(flat, shapes)
@@ -138,7 +137,7 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
             name = next((name for name, a in params.items()
                          if not np.isfinite(a.ravel() @ a.ravel())), None)
             what = "weights" if name is None else f"weight array {name!r}"
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"{what}: sum of squares not finite in {cfg.dtype} "
                 "(a NaN, an infinity or too large a weight)")
     return GecModel(cfg, params, token_vocab, label_vocab), extra

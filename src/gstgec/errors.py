@@ -26,19 +26,7 @@ class ParseError(GstError):
 
 
 class CheckpointError(GstError):
-    """Base class for checkpoint read failures."""
-
-
-class BadMagicError(CheckpointError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedCheckpointError(CheckpointError):
-    """File ends before all declared weight arrays are present."""
-
-
-class CheckpointFormatError(CheckpointError):
-    """Config document is invalid or inconsistent with the stored weights."""
+    """A checkpoint cannot be read; the message gives the reason."""
 
 
 class NonFiniteGradientError(GstError):

@@ -169,26 +169,6 @@ def flat_params(params: dict) -> np.ndarray:
     return flat
 
 
-def non_finite_entry(params: dict, flat: np.ndarray) -> str | None:
-    """The entry of params that holds the first NaN or infinity of flat,
-    a vector laid out like params' vector (the gathered gradients), or
-    None when every value is finite.  One dot product screens the
-    vector; finite values whose squares overflow also fail it, so the
-    exact check runs only then, and such values pass."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        screen = flat @ flat
-    if np.isfinite(screen):
-        return None
-    finite = np.isfinite(flat)
-    if finite.all():
-        return None
-    index = int(finite.argmin())
-    for name, a in params.items():
-        if index < a.size:
-            return name
-        index -= a.size
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Row softmax, computed in x's buffer: callers pass a temporary."""
     x -= np.maximum.reduce(x, -1, keepdims=True)
@@ -490,9 +470,16 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     elif state.m.shape != flat.shape:
         raise ValueError("optimizer state does not match the parameters")
-    name = non_finite_entry(params, g)
-    if name is not None:
-        raise NonFiniteGradientError(f"non-finite gradient in {name}")
+    # one dot product screens g; finite values whose squares overflow
+    # also fail it, so the exact check runs only then, and such values pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        screen = g @ g
+    if not np.isfinite(screen) and not (finite := np.isfinite(g)).all():
+        index = int(finite.argmin())
+        for name, a in params.items():
+            if index < a.size:
+                raise NonFiniteGradientError(f"non-finite gradient in {name}")
+            index -= a.size
 
     beta1, beta2, eps = ADAM
     state.t += 1

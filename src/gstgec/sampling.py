@@ -71,9 +71,13 @@ def _log_probs(probs) -> np.ndarray:
 
 
 def relax_with_noise(probs, noise: np.ndarray, tau: float) -> np.ndarray:
-    logits = (_log_probs(probs) + noise) / tau
-    # all-(-inf) rows are excluded by _log_probs, so the max is finite
+    logits = _log_probs(probs) + noise
+    # all-(-inf) rows are excluded by _log_probs, so the max is finite;
+    # subtracted before the division, it maps to 0 at any tau, and the
+    # other entries overflow at most to -inf, which exp maps to 0
     z = logits - logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        z /= tau
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstgec import cli, training
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
@@ -598,3 +602,58 @@ def test_gst_missing_output_directory_exits_1_before_training(
     assert main(["gst", "--data", str(data), "--out", str(out),
                  *TINY_MODEL_ARGS]) == 1
     assert str(out) in capsys.readouterr().err
+
+
+# unicode, label-like and reserved tokens, and hyphens
+ODD_TOKENS = ["a", "dog", "ß", "İ", "e\u0301", "a\u200db", "猫", "🙂",
+              "$KEEP", "$APPEND_x", "$MERGE_HYPHEN", "$DEL", "$START", "$UNK",
+              "a-b", "-", "a--b", "-a"]
+# a side may be empty
+ODD_SIDE = st.lists(st.sampled_from(ODD_TOKENS), max_size=6).map(" ".join)
+
+
+@pytest.mark.filterwarnings("ignore:input of")
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(ODD_SIDE, ODD_SIDE), min_size=1, max_size=6),
+       blank=st.none() | st.integers(0, 6))
+def test_well_formed_files_through_every_subcommand(tmp_path_factory, pairs,
+                                                    blank):
+    # each exit code is 0, 1 or 2, a nonzero one with one error line, and
+    # no exception escapes; a corrected sentence can outgrow --max-len, so
+    # the encoder may warn that it truncates
+    root = tmp_path_factory.mktemp("odd")
+    lines = [f"{src}\t{tgt}" for src, tgt in pairs]
+    if blank is not None:
+        lines.insert(min(blank, len(lines)), "")
+    sources, references = (
+        [line.split("\t")[side] if line else "" for line in lines]
+        for side in (0, 1))
+    for name, rows in (("pairs.tsv", lines), ("src.txt", sources),
+                       ("ref.txt", references)):
+        (root / name).write_text("".join(row + "\n" for row in rows),
+                                 encoding="utf-8")
+    path = {name: str(root / name) for name in (
+        "pairs.tsv", "src.txt", "ref.txt", "aligned.tsv", "model.gst",
+        "hyp.txt", "syn.tsv")}
+    for argv in (
+            ["align", "--input", path["pairs.tsv"],
+             "--output", path["aligned.tsv"]],
+            ["gst", "--data", path["pairs.tsv"], "--out", path["model.gst"],
+             "--dim", "8", "--heads", "2", "--layers", "1", "--max-len", "64",
+             "--stages", "2", "--epochs", "1", "--batch-size", "4",
+             "--gamma", "0"],
+            ["correct", "--model", path["model.gst"],
+             "--input", path["src.txt"], "--output", path["hyp.txt"]],
+            ["evaluate", "--sources", path["src.txt"],
+             "--hypotheses", path["hyp.txt"],
+             "--references", path["ref.txt"]],
+            ["synthesize", "--model", path["model.gst"],
+             "--data", path["pairs.tsv"], "--out", path["syn.tsv"]]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == (code != 0), (argv, err.getvalue())

@@ -18,8 +18,7 @@ from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
     read_parallel_tsv, read_sentences, tokenize, write_parallel_tsv, \
     write_sentences
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
-from gstgec.errors import BadMagicError, CheckpointFormatError, \
-    ConfigError, ParseError, TruncatedCheckpointError
+from gstgec.errors import CheckpointError, ConfigError, ParseError
 from gstgec.labels import LabelVocab
 from gstgec.model import GecModel, ModelConfig, flat_params
 
@@ -170,7 +169,7 @@ def test_committed_checkpoint_resaves_byte_for_byte(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.gst"
     path.write_bytes(b"XXXX" + b"\x00" * 16)
-    with pytest.raises(BadMagicError):
+    with pytest.raises(CheckpointError, match="^bad magic b'XXXX', "):
         load_checkpoint(path)
 
 
@@ -180,7 +179,7 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(model, path)
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - 10])
-    with pytest.raises(TruncatedCheckpointError, match="'gel_b'"):
+    with pytest.raises(CheckpointError, match="'gel_b'"):
         load_checkpoint(path)
 
 
@@ -189,7 +188,8 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "model.gst"
     save_checkpoint(model, path)
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError,
+                       match="^4 trailing bytes after declared arrays$"):
         load_checkpoint(path)
 
 
@@ -205,7 +205,7 @@ def _edit_config_document(path, edit) -> None:
 def test_checkpoint_ends_inside_the_header(tmp_path):
     path = tmp_path / "short.gst"
     path.write_bytes(b"GST1\0\0")
-    with pytest.raises(TruncatedCheckpointError, match="inside the header"):
+    with pytest.raises(CheckpointError, match="inside the header"):
         load_checkpoint(path)
 
 
@@ -214,8 +214,7 @@ def test_checkpoint_config_length_past_the_end(tmp_path):
     save_checkpoint(_tiny_model(), path)
     data = path.read_bytes()
     path.write_bytes(data[:4] + b"\xff\xff\xff\xff" + data[8:])
-    with pytest.raises(TruncatedCheckpointError,
-                       match="inside the config document"):
+    with pytest.raises(CheckpointError, match="inside the config document"):
         load_checkpoint(path)
 
 
@@ -231,7 +230,7 @@ def test_checkpoint_declaring_more_weights_than_the_file_holds(tmp_path,
     path = tmp_path / "model.gst"
     save_checkpoint(_tiny_model(), path)
     _edit_config_document(path, _huge_dim)
-    with pytest.raises(TruncatedCheckpointError, match="'tok_emb'"):
+    with pytest.raises(CheckpointError, match="'tok_emb'"):
         load_checkpoint(path)
     inp = tmp_path / "in.txt"
     write_sentences([(SENTINEL, "a", "b")], inp)
@@ -242,7 +241,7 @@ def test_checkpoint_declaring_more_weights_than_the_file_holds(tmp_path,
 
 
 def test_checkpoint_that_is_not_a_regular_file():
-    with pytest.raises(CheckpointFormatError, match="not a regular file"):
+    with pytest.raises(CheckpointError, match="not a regular file"):
         load_checkpoint(os.devnull)
 
 
@@ -254,7 +253,7 @@ def test_checkpoint_malformed_config_document(tmp_path, edit):
     path = tmp_path / "model.gst"
     save_checkpoint(_tiny_model(), path)
     _edit_config_document(path, edit)
-    with pytest.raises(CheckpointFormatError):
+    with pytest.raises(CheckpointError, match="^invalid config document: "):
         load_checkpoint(path)
 
 
@@ -368,7 +367,7 @@ def test_checkpoint_declaring_many_layers_fails_in_bounded_memory(tmp_path):
     _edit_config_document(path, _set_model_field("layers", 100_000))
     tracemalloc.start()
     try:
-        with pytest.raises(TruncatedCheckpointError, match="'blk1.Wq'"):
+        with pytest.raises(CheckpointError, match="'blk1.Wq'"):
             load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -397,7 +396,7 @@ def test_checkpoint_non_finite_weights_exit_1(tmp_path, capsys, command,
     path = tmp_path / "model.gst"
     path.write_bytes(COMMITTED_CHECKPOINT.read_bytes())
     _edit_weights(path, edit)
-    with pytest.raises(CheckpointFormatError, match=f"'{array}'"):
+    with pytest.raises(CheckpointError, match=f"'{array}'"):
         load_checkpoint(path)
     data = tmp_path / "pairs.tsv"
     write_parallel_tsv([SentencePair((SENTINEL, "a", "b"),
@@ -421,7 +420,7 @@ def test_checkpoint_signaling_nan_weight_is_named_without_a_warning(
     _edit_weights(path, lambda w: w.view("<u4").__setitem__(-1, 0x7F800001))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(CheckpointFormatError, match="'gel_b'"):
+        with pytest.raises(CheckpointError, match="'gel_b'"):
             load_checkpoint(path)
 
 
@@ -430,13 +429,13 @@ def test_checkpoint_weights_whose_squares_overflow_are_rejected(tmp_path):
     model.params["gel_b"][:] = 3e38
     path = tmp_path / "model.gst"
     save_checkpoint(model, path)
-    with pytest.raises(CheckpointFormatError, match="'gel_b'"):
+    with pytest.raises(CheckpointError, match="'gel_b'"):
         load_checkpoint(path)
     # each array's squares sum to a finite value, but not all of them
     model = _tiny_model()
     model.params["tok_emb"][0, 0] = model.params["gel_b"][0] = 1.5e19
     save_checkpoint(model, path)
-    with pytest.raises(CheckpointFormatError, match="^weights: "):
+    with pytest.raises(CheckpointError, match="^weights: "):
         load_checkpoint(path)
 
 
@@ -491,6 +490,9 @@ def test_mutated_checkpoint_exits_0_or_1_with_one_error_line(mutation_dir,
                                                              data):
     path = mutation_dir / "mutated.gst"
     path.write_bytes(_mutate((mutation_dir / "base.gst").read_bytes(), data))
+    # a refused file raises CheckpointError and nothing else
+    with contextlib.suppress(CheckpointError):
+        load_checkpoint(path)
     pairs = str(mutation_dir / "pairs.tsv")
     for command, *argv in (
             ["correct", "--input", pairs],

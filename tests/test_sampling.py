@@ -80,20 +80,26 @@ def test_gumbel_softmax_low_tau_one_hot():
     assert row.max() > 0.999
 
 
+# a tau so small that dividing a log-probability by it overflows
+TINY_TAUS = (1e-310, 5e-324)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gumbel_softmax_valid_distribution():
     # one row per tau, each divided by its own tau
-    taus = np.array([[0.1], [1.0], [10.0]])
-    noise = sample_gumbel((3, 4), np.random.default_rng(6))
+    taus = np.array([[0.1], [1.0], [10.0], *([t] for t in TINY_TAUS)])
+    noise = sample_gumbel((len(taus), 4), np.random.default_rng(6))
     rows = relax_with_noise([0.4, 0.3, 0.2, 0.1], noise, taus)
     assert (rows >= 0).all()
-    assert rows.sum(axis=-1) == pytest.approx(np.ones(3), abs=1e-9)
+    assert rows.sum(axis=-1) == pytest.approx(np.ones(len(taus)), abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_shared_noise_argmax_consistency():
     probs = [0.5, 0.25, 0.15, 0.1]
     noise = sample_gumbel((10_000, 4), np.random.default_rng(7))
     hard = hard_sample(probs, noise)
-    for tau in (0.1, 1.0, 10.0):
+    for tau in (0.1, 1.0, 10.0, *TINY_TAUS):
         relaxed = relax_with_noise(probs, noise, tau)
         assert np.array_equal(relaxed.argmax(axis=-1), hard), tau
 
@@ -189,6 +195,7 @@ def test_relax_with_noise_rows_equal_row_by_row():
         assert got.tolist() == want, mode
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gumbel_tau_acts_only_through_the_keep_bias():
     probs = np.random.default_rng(20).dirichlet(np.ones(30), size=400)
 
@@ -198,7 +205,7 @@ def test_gumbel_tau_acts_only_through_the_keep_bias():
 
     taus = (0.3, 1.0, 3.0)
     # at beta 0 the relaxed argmax is the Gumbel-max draw for every tau
-    assert len({ids(tau, 0.0).tobytes() for tau in taus}) == 1
+    assert len({ids(tau, 0.0).tobytes() for tau in taus + TINY_TAUS}) == 1
     assert len({ids(tau, 0.3).tobytes() for tau in taus}) == 3
 
 
