@@ -1,5 +1,6 @@
-"""Print one sha256 digest per pipeline output, to check that two source
-trees compute the same numbers bit for bit.
+"""Print one sha256 digest per pipeline output, to check that a source
+tree computes the same numbers bit for bit as the one that wrote
+``scripts/digests.txt``.
 
 Each line is ``name sha256``.  The digests cover label extraction,
 application and iterative correction over fixed corrupted pairs; the
@@ -10,13 +11,17 @@ inputs with the committed ``perfbench/correct_model.gst``.  They digest
 numbers and tokens, not report text, so a change to an output format
 does not move them.
 
-Float results depend on the BLAS build, so compare two trees on one
-machine only; the script pins OpenBLAS to one thread.  Run it from any
-directory; it imports the package from the ``src/`` next to it:
+Float results depend on the BLAS build, so the output starts with a
+``#`` header naming the numpy and BLAS builds, and only the alignment
+digests, which are pure Python, hold on any machine.  The script pins
+OpenBLAS to one thread.  Run it from any directory; it imports the
+package from the ``src/`` next to it:
 
-    python3 scripts/digests.py > digests.txt
+    python3 scripts/digests.py > scripts/digests.txt   # record
+    python3 scripts/digests.py --check  # exit 1 naming each moved line
 """
 
+import argparse
 import hashlib
 import os
 import sys
@@ -40,6 +45,7 @@ from gstgec.training import TrainingConfig, build_vocabs, run_gst, \
     synthesize_dataset
 
 CHECKPOINT = ROOT / "perfbench" / "correct_model.gst"
+RECORDED = Path(__file__).with_name("digests.txt")
 
 
 def digest(*parts) -> str:
@@ -106,11 +112,42 @@ def correct_lines():
             [correct(model, s, cfg).final for s in sources])
 
 
-def main() -> None:
-    for lines in (alignment_lines, staged_run_lines, correct_lines):
-        for name, value in lines():
-            print(name, value, flush=True)
+def header():
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    build = " ".join(blas.get("openblas configuration", "").split())
+    yield f"# numpy {np.__version__}"
+    yield f"# BLAS {blas['name']} {blas['version']} {build}".rstrip()
+
+
+def recorded() -> dict[str, str]:
+    """The digests in digests.txt, by name."""
+    lines = RECORDED.read_text(encoding="utf-8").splitlines()
+    return dict(line.split() for line in lines
+                if line and not line.startswith("#"))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with digests.txt instead of printing, "
+                             "and exit 1 naming each line that moved")
+    check = parser.parse_args().check
+    lines = [line for group in (alignment_lines, staged_run_lines,
+                                correct_lines) for line in group()]
+    if not check:
+        print(*header(), *(f"{name} {value}" for name, value in lines),
+              sep="\n")
+        return 0
+    expected = recorded()
+    moved = [f"{name}: {was} -> {value}" for name, value in lines
+             if (was := expected.pop(name, "absent")) != value]
+    moved += [f"{name}: {was} -> absent" for name, was in expected.items()]
+    for line in moved:
+        print("moved:", line)
+    print(f"{len(moved)} moved of the lines in {RECORDED.name}" if moved
+          else f"every digest equals {RECORDED.name}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

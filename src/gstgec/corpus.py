@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,9 +39,9 @@ class SentencePair:
     target: TokenSeq
 
 
-def _tsv_rows(path):
-    """Yield (line number, left, right) for each non-empty line of a
-    two-column TSV file."""
+def read_parallel_tsv(path) -> list[SentencePair]:
+    """Read "source<TAB>target" pairs, one per non-empty line."""
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -52,34 +51,15 @@ def _tsv_rows(path):
                 raise ParseError(
                     f"expected exactly one tab, found {line.count(chr(9))}",
                     path=path, line=lineno)
-            left, right = line.split("\t")
-            yield lineno, left, right
-
-
-def read_parallel_tsv(path) -> list[SentencePair]:
-    """Read "source<TAB>target" pairs, one per non-empty line."""
-    return [SentencePair(tokenize(src), tokenize(tgt))
-            for _, src, tgt in _tsv_rows(path)]
+            source, target = line.split("\t")
+            pairs.append(SentencePair(tokenize(source), tokenize(target)))
+    return pairs
 
 
 def write_parallel_tsv(pairs: list[SentencePair], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for pair in pairs:
             fh.write(f"{detokenize(pair.source)}\t{detokenize(pair.target)}\n")
-
-
-def read_labeled_tsv(path) -> list[tuple[TokenSeq, list[str]]]:
-    """Read the labeled-dataset cache: "source<TAB>space-joined labels"."""
-    rows = []
-    for lineno, src, labels in _tsv_rows(path):
-        tokens = tokenize(src)
-        label_strs = labels.split()
-        if len(label_strs) != len(tokens):
-            raise ParseError(
-                f"{len(label_strs)} labels for {len(tokens)} tokens",
-                path=path, line=lineno)
-        rows.append((tokens, label_strs))
-    return rows
 
 
 def write_labeled_tsv(rows, path) -> None:
@@ -94,11 +74,6 @@ def read_sentences(path) -> list[TokenSeq]:
     input; an empty line is the empty sentence (the sentinel alone)."""
     with open(path, encoding="utf-8") as fh:
         return [tokenize(line) for line in fh]
-
-
-def write_sentences(sentences, path) -> None:
-    Path(path).write_text(
-        "".join(detokenize(s) + "\n" for s in sentences), encoding="utf-8")
 
 
 class TokenVocab:

@@ -513,13 +513,12 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 
 
 class GecModel:
-    """Parameters plus the vocabularies needed to use them."""
+    """Parameters plus the vocabularies needed to use them.  The
+    config's vocab_size and num_labels are the vocabularies' sizes:
+    create derives them, and load_checkpoint rejects a file whose
+    sizes disagree."""
 
     def __init__(self, cfg: ModelConfig, params, token_vocab, label_vocab):
-        if cfg.vocab_size != len(token_vocab):
-            raise ValueError("config vocab_size disagrees with token vocab")
-        if cfg.num_labels != len(label_vocab):
-            raise ValueError("config num_labels disagrees with label vocab")
         self.cfg = cfg
         self.params = params
         self.token_vocab = token_vocab

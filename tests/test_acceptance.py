@@ -19,23 +19,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gstgec import desk
 from gstgec.checkpoint import load_checkpoint
 from gstgec.cli import main
 from gstgec.corpus import write_parallel_tsv
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.inference import InferenceConfig, correct, predict_labels
-from gstgec.labels import Kind, correct_iteratively, edit_distance, \
-    extract_labels
-from gstgec.model import GecModel, ModelConfig, init_params, loss_and_grads, \
-    loss_only
-from gstgec.sampling import SamplingConfig, SamplingMode, relax_with_noise, \
-    sample_gumbel
+from gstgec.labels import Kind, correct_iteratively, edit_distance
+from gstgec.model import ModelConfig, init_params, loss_and_grads, loss_only
+from gstgec.sampling import relax_with_noise, sample_gumbel
 from gstgec.scoring import f_beta
-from gstgec.training import TrainingConfig, build_vocabs, run_stages, \
-    start_run, train_stage
 
 # Committed seed for the desk-scale experiment (criteria 6-8).
-EXPERIMENT_SEED = 20240817
+EXPERIMENT_SEED = desk.SEED
 
 
 def report(capsys, criterion, ok, detail):
@@ -216,43 +212,9 @@ def test_criterion_5_inference_invariants(capsys, toy_model):
 
 @pytest.fixture(scope="session")
 def desk_experiment():
-    """Shared desk-scale runs from the committed seed: an epoch-matched
-    baseline and one staged self-synthesis run per sampling mode.  All
-    three train the same stage 1, so it is trained once and forked; the
-    baseline goes on with no synthetic set and is scored at every stage
-    boundary."""
-    rng = np.random.default_rng(EXPERIMENT_SEED)
-    clean = generate_clean_corpus(5000, rng)
-    pairs = corrupt_corpus(clean, rate=0.3, rng=rng)
-    heldout, train = pairs[:500], pairs[500:]
-    tv, lv = build_vocabs(train)
-    infer_cfg = InferenceConfig(gamma=0.3, beta=0.0)
-
-    def config(mode):
-        return TrainingConfig(
-            stages=5, epochs_per_stage=5, gamma=0.5, beta=0.3,
-            sampling=SamplingConfig(mode=mode),
-            lr=2e-3, batch_size=16, seed=EXPERIMENT_SEED)
-
-    def f_half(metrics):
-        return [m.eval.f_half for m in metrics]
-
-    gumbel_cfg = config(SamplingMode.GUMBEL_SOFTMAX)
-    random_cfg = config(SamplingMode.RANDOM)
-    model = GecModel.create(tv, lv, seed=EXPERIMENT_SEED, dim=32,
-                            layers=2, heads=2, max_len=32)
-    stage1 = start_run(model, train, gumbel_cfg)
-    first = f_half([train_stage(stage1, gumbel_cfg, [], heldout, infer_cfg)])
-    baseline_run, gumbel_run, random_run = (stage1.fork() for _ in range(3))
-    return {
-        "baseline": first + f_half(
-            train_stage(baseline_run, gumbel_cfg, [], heldout, infer_cfg)
-            for _ in range(gumbel_cfg.stages - baseline_run.stage)),
-        "gumbel": first + f_half(run_stages(gumbel_run, gumbel_cfg, heldout,
-                                            infer_cfg)),
-        "random": first + f_half(run_stages(random_run, random_cfg, heldout,
-                                            infer_cfg)),
-    }
+    """F0.5 after every stage of each arm of the desk experiment."""
+    return {name: [m.eval.f_half for m in metrics]
+            for name, metrics in desk.run().items()}
 
 
 def test_criterion_6_gst_beats_baseline(capsys, desk_experiment):

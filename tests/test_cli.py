@@ -14,10 +14,12 @@ from gstgec import cli, training
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.cli import build_parser, main
 from gstgec.corpus import SENTINEL, TokenVocab, detokenize, \
-    read_labeled_tsv, read_parallel_tsv, write_parallel_tsv, write_sentences
+    read_parallel_tsv, write_parallel_tsv
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.labels import LabelVocab, correct_iteratively, parse_label
 from gstgec.model import GecModel
+
+from corpus_files import read_labeled_tsv, write_sentences
 
 PAIR_LINES = [
     "He go to school\tHe goes to school",
@@ -147,6 +149,23 @@ def test_diverged_training_exits_1_naming_stage_and_epoch(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "training diverged in stage 1, epoch 1:" in err
     assert not out.exists()
+
+
+def test_training_that_diverges_mid_epoch_exits_1_and_saves_nothing(
+        tmp_path, capsys):
+    # 40 pairs make 3 mini-batches: the first step blows the weights up,
+    # so the second mini-batch's gradient is not finite and adam_step
+    # stops the epoch before the after-epoch probe runs
+    data, _ = toy_training_files(tmp_path)
+    out = tmp_path / "m.gst"
+    code = main(["train", "--data", str(data), "--out", str(out),
+                 "--lr", "1e30", "--dim", "8", "--heads", "2",
+                 "--layers", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: training diverged in stage 1, epoch 1: non-finite gradient "
+        "in tok_emb\n")
+    assert list(tmp_path.iterdir()) == [data]
 
 
 def test_diverged_training_warns_nothing(tmp_path, capsys, recwarn):

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from gstgec.checkpoint import load_checkpoint, save_checkpoint
 from gstgec.cli import main
 from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
-    read_parallel_tsv, read_sentences, tokenize, write_parallel_tsv, \
-    write_sentences
+    read_parallel_tsv, read_sentences, tokenize, write_parallel_tsv
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.errors import CheckpointError, ConfigError, ParseError
 from gstgec.labels import LabelVocab
 from gstgec.model import GecModel, ModelConfig, flat_params
+
+from corpus_files import write_sentences
 
 COMMITTED_CHECKPOINT = (Path(__file__).resolve().parent.parent / "perfbench"
                         / "correct_model.gst")
@@ -157,6 +158,24 @@ def test_checkpoint_saves_a_replaced_entry(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded.params["gel_b"].tolist() == [1, 2, 3, 4]
     assert model.params["gel_b"].base is model.params["tok_emb"].base
+
+
+@pytest.mark.parametrize("edit", ["reorder", "drop", "reshape"])
+def test_checkpoint_refuses_parameters_not_in_the_config_order(tmp_path,
+                                                               edit):
+    model = _tiny_model()
+    names = list(model.params)
+    if edit == "reorder":
+        model.params = {name: model.params[name] for name in reversed(names)}
+    elif edit == "drop":
+        del model.params[names[-1]]
+    else:
+        model.params["gel_b"] = model.params["gel_b"].reshape(2, 2)
+    path = tmp_path / "model.gst"
+    with pytest.raises(ValueError,
+                       match="^parameters are not the config's, in its order$"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def test_committed_checkpoint_resaves_byte_for_byte(tmp_path):

@@ -22,8 +22,6 @@ ROOT = PACKAGE.parents[1]
 # in strings, which a word match finds), the demos and the scripts
 PROGRAM = sorted(path for folder in ("src", "perfbench", "demos", "scripts")
                  for path in (ROOT / folder).rglob("*.py"))
-# only tests use these, as fixtures for the CLI's file formats
-USED_BY_TESTS_ONLY = {"corpus.read_labeled_tsv", "corpus.write_sentences"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
@@ -72,4 +70,4 @@ def test_every_top_level_definition_is_used(path):
                                  + lines[node.end_lineno:]))
         unused += [f"{path.stem}.{name}" for name in _defined_names(node)
                    if not elsewhere[name] + outside[name]]
-    assert sorted(set(unused) - USED_BY_TESTS_ONLY) == []
+    assert sorted(set(unused)) == []

@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -606,3 +609,20 @@ def test_correct_iteratively_identical_pair_takes_no_round():
     sent = tokenize("the cat sat")
     assert correct_iteratively(sent, sent) == (sent, 0)
     assert _assert_round_trip_matches_reference(sent, sent) == 0
+
+
+def test_alignment_digests_equal_the_recorded_ones(monkeypatch):
+    # these lines of scripts/digests.txt are pure Python, so they hold
+    # on any machine; loading the script sets an environment variable
+    # and extends sys.path, which monkeypatch undoes
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "digests.py"
+    spec = importlib.util.spec_from_file_location("digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    lines = dict(digests.alignment_lines())
+    recorded = digests.recorded()
+    assert list(lines) == ["extract_labels", "apply_labels",
+                           "correct_iteratively"]
+    assert lines == {name: recorded[name] for name in lines}
