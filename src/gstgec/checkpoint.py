@@ -9,8 +9,8 @@ model's one parameter vector: saving writes the vector's buffer as it
 is, and loading reads the region straight into a new vector, after
 checking every size the header and config declare against the file's.
 
-The model object also holds "dropout": 0.0, after max_len.  Nothing
-reads it: an older file's rate in [0, 1) loads and is ignored.
+The model object is the model config's fields.  An older file's
+"dropout" entry is read past: a rate in [0, 1) loads and is ignored.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
         raise ValueError("parameters are not the config's, in its order")
     flat = flat_params(model.params)
     stored = np.dtype(model.cfg.dtype).newbyteorder("<")
-    fields = asdict(model.cfg)
-    dtype = fields.pop("dtype")
     cfg_doc = {
-        "model": {**fields, "dropout": 0.0, "dtype": dtype},
+        "model": asdict(model.cfg),
         "tokens": model.token_vocab.tokens,
         "labels": model.label_vocab.labels,
         "extra": extra or {},

@@ -90,8 +90,7 @@ def _training_config(args) -> TrainingConfig:
     options = dict(gamma=args.gamma, beta=args.beta, seed=args.seed)
     if args.command != "train":
         options.update(
-            sampling=SamplingConfig(mode=SamplingMode(args.sampling),
-                                    tau=args.tau))
+            sampling=SamplingConfig(mode=args.sampling, tau=args.tau))
     if args.command != "synthesize":
         options.update(stages=args.stages, epochs_per_stage=args.epochs,
                        lr=args.lr, batch_size=args.batch_size)

@@ -303,18 +303,10 @@ def _heads(params, x):
     return ged, gel
 
 
-def encode(params, ids, cfg: ModelConfig) -> np.ndarray:
-    """Per-position contextual feature rows (n x dim): the encoder over
-    a batch of one, with no padding."""
-    ids = _truncate(np.asarray(ids), cfg)
-    x, _ = _encode_fwd(params, ids[None], cfg)
-    return x
-
-
 def forward(params, ids, cfg: ModelConfig) -> TokenDistributions:
     """Detection and labeling probability rows, one per token; positions
     past the window (max_len) are certain keeps: ged [1, 0], gel id 0."""
-    x = encode(params, ids, cfg)
+    x, _ = _encode_fwd(params, _truncate(np.asarray(ids), cfg)[None], cfg)
     ged, gel = _heads(params, x)
     if len(ids) > len(x):
         pad = ((0, len(ids) - len(x)), (0, 0))

@@ -1,5 +1,6 @@
-"""Every name that a module of the package imports is used in it, and
-every name it defines at top level is used by the program.
+"""Every name that a Python file of the repository imports is used in
+it, and every name a module of the package defines at top level is used
+by the program.
 
 No linter ships with the toolchain, so these stand in for the checks of
 one that matter here: an import left behind by a deleted use, and a
@@ -22,9 +23,13 @@ ROOT = PACKAGE.parents[1]
 # in strings, which a word match finds), the demos and the scripts
 PROGRAM = sorted(path for folder in ("src", "perfbench", "demos", "scripts")
                  for path in (ROOT / folder).rglob("*.py"))
+# every Python file: the program and the tests
+SOURCES = PROGRAM + sorted((ROOT / "tests").rglob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", SOURCES,
+    ids=lambda path: str(path.relative_to(ROOT)).removeprefix("src/gstgec/"))
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {}

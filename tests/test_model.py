@@ -6,8 +6,10 @@ import pytest
 
 from gstgec.errors import NonFiniteGradientError
 from gstgec.model import ADAM, ADAM_CHUNK, AdamState, ModelConfig, \
-    _encode_fwd, _pad_batch, adam_step, encode, flat_params, forward, \
-    init_params, loss_and_grads, loss_only, param_shapes
+    _encode_fwd, _pad_batch, adam_step, flat_params, forward, init_params, \
+    loss_and_grads, loss_only, param_shapes
+
+from oracles import finite_difference_check
 
 
 def small_cfg(**kw):
@@ -32,22 +34,22 @@ def test_encode_zeroed_projections_is_embedding_sum():
         for name in ("Wo", "bo", "W2", "b2"):
             params[f"blk{l}.{name}"][:] = 0
     ids = np.array([1, 2, 3])
-    x = encode(params, ids, cfg)
+    x = _encode_fwd(params, ids[None], cfg)[0]
     assert np.allclose(x, params["tok_emb"][ids] + params["pos_emb"][:3])
 
 
 def test_encode_sentinel_only_input():
     cfg = small_cfg()
     params = init_params(cfg, 0)
-    x = encode(params, np.array([0]), cfg)
+    x = _encode_fwd(params, np.array([[0]]), cfg)[0]
     assert x.shape == (1, cfg.dim)
 
 
 def test_encode_position_sensitivity():
     cfg = small_cfg()
     params = init_params(cfg, 1)
-    a = encode(params, np.array([0, 3, 4, 5]), cfg)
-    b = encode(params, np.array([0, 4, 3, 5]), cfg)
+    a = _encode_fwd(params, np.array([[0, 3, 4, 5]]), cfg)[0]
+    b = _encode_fwd(params, np.array([[0, 4, 3, 5]]), cfg)[0]
     assert not np.allclose(a[1], b[1])
     assert not np.allclose(a[2], b[2])
 
@@ -55,17 +57,9 @@ def test_encode_position_sensitivity():
 def test_encode_deterministic():
     cfg = small_cfg()
     ids = np.array([0, 5, 9])
-    x1 = encode(init_params(cfg, 2), ids, cfg)
-    x2 = encode(init_params(cfg, 2), ids, cfg)
+    x1 = _encode_fwd(init_params(cfg, 2), ids[None], cfg)[0]
+    x2 = _encode_fwd(init_params(cfg, 2), ids[None], cfg)[0]
     assert x1.tobytes() == x2.tobytes()
-
-
-def test_encode_truncates_long_input_with_warning():
-    cfg = small_cfg(max_len=4)
-    params = init_params(cfg, 0)
-    with pytest.warns(UserWarning):
-        x = encode(params, np.zeros(10, dtype=int), cfg)
-    assert x.shape == (4, cfg.dim)
 
 
 def test_forward_keeps_positions_past_the_window():
@@ -161,35 +155,6 @@ def test_loss_rejects_length_mismatch():
     params = init_params(cfg, 0)
     with pytest.raises(ValueError):
         loss_and_grads(params, [np.array([1, 2])], [np.array([0])], cfg)
-
-
-def max_rel_grad_error(cfg, seed, h=1e-4):
-    rng = np.random.default_rng(seed)
-    params = init_params(cfg, seed)
-    ids, labels = random_input(cfg, rng)
-    _, grads = loss_and_grads(params, ids, labels, cfg)
-    worst = 0.0
-    for name, arr in params.items():
-        flat = arr.ravel()
-        g = grads[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_only(params, ids, labels, cfg)
-            flat[i] = orig - h
-            lm = loss_only(params, ids, labels, cfg)
-            flat[i] = orig
-            num = (lp - lm) / (2 * h)
-            worst = max(worst,
-                        abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6))
-    return worst
-
-
-def test_gradients_match_finite_differences():
-    cfg = ModelConfig(vocab_size=12, num_labels=5, dim=8, layers=1, heads=2,
-                      max_len=8, dtype="float64")
-    for seed in range(3):
-        assert max_rel_grad_error(cfg, seed) < 1e-3
 
 
 def test_training_smoke_loss_decreases():
@@ -441,34 +406,6 @@ def random_batch(cfg, rng, lengths):
     return ids, labels
 
 
-def worst_fd_error(params, grads, loss_fn):
-    """Worst relative error of grads against central differences of
-    loss_fn; a coordinate whose +-1e-4 step straddles a ReLU kink is
-    re-checked at step 1e-5, as in acceptance gate 3."""
-    def central(flat, i, h):
-        orig = flat[i]
-        flat[i] = orig + h
-        lp = loss_fn()
-        flat[i] = orig - h
-        lm = loss_fn()
-        flat[i] = orig
-        return (lp - lm) / (2 * h)
-
-    worst = 0.0
-    for name, arr in params.items():
-        flat = arr.ravel()
-        g = grads[name].ravel()
-        for i in range(flat.size):
-            rel = 1.0
-            for h in (1e-4, 1e-5):
-                num = central(flat, i, h)
-                rel = abs(g[i] - num) / max(abs(g[i]) + abs(num), 1e-6)
-                if rel < 1e-3:
-                    break
-            worst = max(worst, rel)
-    return worst
-
-
 def test_padded_batch_gradients_match_finite_differences():
     # the oracle is the mean of unpadded per-sentence losses, so a mask
     # that leaked padding into any sentence would fail here too
@@ -482,7 +419,7 @@ def test_padded_batch_gradients_match_finite_differences():
         return np.mean([loss_only(params, [s], [lab], cfg)
                         for s, lab in zip(ids, labels)])
 
-    assert worst_fd_error(params, grads, mean_loss) < 1e-3
+    assert finite_difference_check(params, grads, mean_loss)[0] < 1e-3
 
 
 def test_batch_gradients_are_the_mean_of_sentence_gradients():
@@ -540,8 +477,8 @@ def test_longer_sentence_leaves_other_rows_unchanged():
         # padding only reorders float sums; unmasked keys would move
         # these rows by orders of magnitude more
         np.testing.assert_allclose(b, a, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(a, encode(params, sentence, cfg),
-                                   rtol=0, atol=1e-12)
+        alone, _ = _encode_fwd(params, sentence[None], cfg)
+        np.testing.assert_allclose(a, alone, rtol=0, atol=1e-12)
 
 
 def reference_encode(params, ids, cfg):
@@ -596,7 +533,8 @@ def test_single_sentence_is_bitwise_the_reference_encoder(dtype):
         ids = rng.integers(0, cfg.vocab_size, size=n)
         x, ged, gel = reference_encode(params, ids, cfg)
         d = forward(params, ids, cfg)
-        assert encode(params, ids, cfg).tobytes() == x.tobytes()
+        assert _encode_fwd(params, ids[None], cfg)[0].tobytes() == \
+            x.tobytes()
         assert d.ged.tobytes() == ged.tobytes()
         assert d.gel.tobytes() == gel.tobytes()
 

@@ -7,18 +7,7 @@ from gstgec.corpus import tokenize
 from gstgec.scoring import extract_edits, f_beta, report_from_counts, \
     score_corpus
 
-# Published single-model (P, R, F0.5) rows the arithmetic must reproduce.
-# The published F values were computed from unrounded P/R; re-deriving them
-# from the one-decimal published figures carries up to ~0.10 of propagated
-# rounding error (|dF/dP| + |dF/dR| is about 1.0 in this regime), and one
-# row (69.2/45.6 -> 62.6, recomputes to 62.709) sits just past that bound.
-ROW_TOL = 0.11
-PUBLISHED_ROWS = [
-    (67.7, 40.6, 59.8), (66.1, 43.0, 59.7), (67.9, 44.1, 61.3),
-    (69.2, 45.6, 62.6), (72.1, 42.0, 63.0), (72.6, 42.5, 63.6),
-    (73.9, 41.5, 64.0), (74.1, 42.2, 64.4), (77.5, 40.1, 65.3),
-    (78.4, 39.9, 65.7), (74.3, 40.2, 63.5), (78.1, 39.9, 65.5),
-]
+from oracles import PUBLISHED_ROWS, ROW_TOL
 
 
 @pytest.mark.parametrize("p,r,f", PUBLISHED_ROWS)
