@@ -11,6 +11,10 @@ checking every size the header and config declare against the file's.
 
 The model object is the model config's fields.  An older file's
 "dropout" entry is read past: a rate in [0, 1) loads and is ignored.
+
+A file that cannot be loaded raises a plain GstError whose message
+gives the reason, also when the model object fails ModelConfig's
+checks: a bad file is a data fault, not the user's mistake.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .corpus import TokenVocab
-from .errors import CheckpointError
+from .errors import GstError
 from .labels import LabelVocab
 from .model import GecModel, ModelConfig, flat_params, param_shapes, \
     param_views
@@ -65,25 +69,25 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
         labels = cfg_doc["labels"]
         extra = cfg_doc["extra"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"invalid config document: {exc}") from exc
+        raise GstError(f"invalid config document: {exc}") from exc
     # the labels are parsed on first use, so their type is checked here
     for name, entries in (("tokens", tokens), ("labels", labels)):
         if not (isinstance(entries, list)
                 and set(map(type, entries)) <= {str}):
-            raise CheckpointError(f"{name} must be a list of strings")
+            raise GstError(f"{name} must be a list of strings")
     if not isinstance(model_kwargs, dict):
-        raise CheckpointError("model must be an object")
+        raise GstError("model must be an object")
     dropout = model_kwargs.pop("dropout", 0.0)
     if not (isinstance(dropout, (int, float)) and 0.0 <= dropout < 1.0):
-        raise CheckpointError(f"dropout {dropout!r} is not in [0, 1)")
+        raise GstError(f"dropout {dropout!r} is not in [0, 1)")
     try:
         cfg = ModelConfig(**model_kwargs)
         token_vocab = TokenVocab(tokens)
         label_vocab = LabelVocab(labels)
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(str(exc)) from exc
+        raise GstError(str(exc)) from exc
     if cfg.vocab_size != len(token_vocab) or cfg.num_labels != len(label_vocab):
-        raise CheckpointError("config shapes disagree with vocabularies")
+        raise GstError("config shapes disagree with vocabularies")
     return cfg, token_vocab, label_vocab, extra
 
 
@@ -95,17 +99,16 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     with open(path, "rb") as fh:
         status = os.fstat(fh.fileno())
         if not stat.S_ISREG(status.st_mode):
-            raise CheckpointError(f"{path} is not a regular file")
+            raise GstError(f"{path} is not a regular file")
         size = status.st_size
         head = fh.read(8)
         if head[:4] != MAGIC:
-            raise CheckpointError(
-                f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+            raise GstError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
         if len(head) < 8:
-            raise CheckpointError("file ends inside the header")
+            raise GstError("file ends inside the header")
         start = 8 + int.from_bytes(head[4:], "little")
         if size < start:
-            raise CheckpointError("file ends inside the config document")
+            raise GstError("file ends inside the config document")
         cfg, token_vocab, label_vocab, extra = _read_config(
             fh.read(start - 8))
 
@@ -116,15 +119,14 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         for name, shape in param_shapes(cfg):
             end += stored.itemsize * math.prod(shape)
             if end > size:
-                raise CheckpointError(
-                    f"file ends inside weight array {name!r}")
+                raise GstError(f"file ends inside weight array {name!r}")
             shapes[name] = shape
         if end != size:
-            raise CheckpointError(
+            raise GstError(
                 f"{size - end} trailing bytes after declared arrays")
         flat = np.empty((end - start) // stored.itemsize, stored)
         if fh.readinto(flat) != flat.nbytes:
-            raise CheckpointError("file ends inside the weights")
+            raise GstError("file ends inside the weights")
     # a view on a little-endian host; a big-endian one swaps into a copy
     flat = flat.astype(cfg.dtype, copy=False)
     params = param_views(flat, shapes)
@@ -135,7 +137,7 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
             name = next((name for name, a in params.items()
                          if not np.isfinite(a.ravel() @ a.ravel())), None)
             what = "weights" if name is None else f"weight array {name!r}"
-            raise CheckpointError(
+            raise GstError(
                 f"{what}: sum of squares not finite in {cfg.dtype} "
                 "(a NaN, an infinity or too large a weight)")
     return GecModel(cfg, params, token_vocab, label_vocab), extra

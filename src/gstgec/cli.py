@@ -25,7 +25,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import detokenize, read_parallel_tsv, read_sentences, \
     write_labeled_tsv
-from .errors import ConfigError, GstError, ParseError
+from .errors import ConfigError, GstError
 from .inference import InferenceConfig, correct
 from .labels import extract_labels
 from .model import GecModel, ModelConfig
@@ -113,7 +113,7 @@ def _read_pairs(path) -> list:
     at least one."""
     pairs = read_parallel_tsv(path)
     if not pairs:
-        raise ParseError("no sentence pairs", path=path)
+        raise GstError(f"{path}: no sentence pairs")
     return pairs
 
 
@@ -138,8 +138,8 @@ def cmd_train(args) -> int:
         heldout = [pairs[i] for i in order[:cut]]
         pairs = [pairs[i] for i in order[cut:]]
     if not pairs:
-        raise ParseError("no training pairs left after the held-out split",
-                         path=args.data)
+        raise GstError(f"{args.data}: no training pairs left after the "
+                       "held-out split")
 
     token_vocab, label_vocab = build_vocabs(pairs)
     model = GecModel.create(token_vocab, label_vocab, seed=args.seed,

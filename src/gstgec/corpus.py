@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import GstError
 
 SENTINEL = "$START"
 UNK_TOKEN = "$UNK"
@@ -48,9 +48,8 @@ def read_parallel_tsv(path) -> list[SentencePair]:
             if not line:
                 continue
             if line.count("\t") != 1:
-                raise ParseError(
-                    f"expected exactly one tab, found {line.count(chr(9))}",
-                    path=path, line=lineno)
+                raise GstError(f"{path}:{lineno}: expected exactly one tab, "
+                               f"found {line.count(chr(9))}")
             source, target = line.split("\t")
             pairs.append(SentencePair(tokenize(source), tokenize(target)))
     return pairs

@@ -2,31 +2,14 @@
 
 
 class GstError(Exception):
-    """Base class for all toolkit errors."""
+    """A data or runtime fault (exit 1): a malformed or empty corpus file,
+    a checkpoint that cannot be read, an output that cannot be written.
+    The message says what went wrong and where.  ConfigError and
+    NonFiniteGradientError derive from it."""
 
 
 class ConfigError(GstError, ValueError):
     """A setting is out of range: the user's mistake, not a data fault."""
-
-
-class ParseError(GstError):
-    """A corpus file is malformed or holds no data."""
-
-    def __init__(self, message, path=None, line=None):
-        self.path = path
-        self.line = line
-        prefix = ""
-        if path is not None:
-            prefix += str(path)
-        if line is not None:
-            prefix += f":{line}"
-        if prefix:
-            message = f"{prefix}: {message}"
-        super().__init__(message)
-
-
-class CheckpointError(GstError):
-    """A checkpoint cannot be read; the message gives the reason."""
 
 
 class NonFiniteGradientError(GstError):

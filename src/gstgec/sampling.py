@@ -67,7 +67,7 @@ def _log_probs(probs) -> np.ndarray:
         raise ValueError("probabilities sum to zero")
     p = p / total
     with np.errstate(divide="ignore"):
-        return np.where(p > 0, np.log(p), -np.inf)
+        return np.log(p)
 
 
 def relax_with_noise(probs, noise: np.ndarray, tau: float) -> np.ndarray:

@@ -129,6 +129,7 @@ def train_epoch(model: GecModel, examples: list[TrainExample],
     total_loss = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = [examples[i] for i in order[start:start + cfg.batch_size]]
+        # cfg by keyword: perfbench's tracer looks for it at position 4
         loss, grads = loss_and_grads(
             model.params, [ex.src_ids for ex in batch],
             [ex.label_ids for ex in batch], cfg=model.cfg)
@@ -153,13 +154,12 @@ def synthesize_example(model: GecModel, pair: SentencePair,
     if sentence_error_score(dists) <= cfg.gamma:
         return None
     vocab = model.label_vocab
-    rows = dists.gel.astype(np.float64)
+    # the rows are forward's own; sample_ids normalizes them
+    rows = dists.gel
     rows[0] *= vocab.sentinel_mask
-    mass = rows.sum(axis=-1, keepdims=True)
-    if mass[0, 0] == 0:
+    if not rows[0].any():
         # no admitted label kept any mass: the sentinel keeps, as in decode
-        rows[0, 0] = mass[0, 0] = 1
-    rows /= mass
+        rows[0, 0] = 1
     ids = sample_ids(rows, cfg.sampling, cfg.beta, rng)
     sampled = vocab.decode(ids.tolist())
     synthetic_source = apply_labels(pair.source, sampled)

@@ -8,8 +8,8 @@ function, class or constant that nothing calls any more.
 """
 
 import ast
+import functools
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,18 +20,23 @@ PACKAGE = Path(gstgec.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 ROOT = PACKAGE.parents[1]
 # the program: the package, the benchmark (its tracer names what it wraps
-# in strings, which a word match finds), the demos and the scripts
+# in strings), the demos and the scripts
 PROGRAM = sorted(path for folder in ("src", "perfbench", "demos", "scripts")
                  for path in (ROOT / folder).rglob("*.py"))
 # every Python file: the program and the tests
 SOURCES = PROGRAM + sorted((ROOT / "tests").rglob("*.py"))
 
 
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize(
     "path", SOURCES,
     ids=lambda path: str(path.relative_to(ROOT)).removeprefix("src/gstgec/"))
 def test_every_imported_name_is_used(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _tree(path)
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -45,8 +50,34 @@ def test_every_imported_name_is_used(path):
                   if name not in used) == []
 
 
-def _words(text: str) -> Counter:
-    return Counter(re.findall(r"\w+", text))
+@functools.cache
+def _uses(path: Path) -> list[set[str]]:
+    """For each top-level statement of the file at path, the names it
+    uses: Name loads, attribute and keyword names, and the words of its
+    string constants other than docstrings.  Comments are not in the
+    tree, so a name that only a comment or a docstring mentions is not
+    used."""
+    tree = _tree(path)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    uses = []
+    for statement in tree.body:
+        used = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                used.add(node.arg)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                used.update(re.findall(r"\w+", node.value))
+        uses.append(used)
+    return uses
 
 
 def _defined_names(node):
@@ -64,15 +95,14 @@ def _defined_names(node):
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_top_level_definition_is_used(path):
-    # a word match: a name counts as used wherever it appears outside its
-    # own definition, in code, a string or a comment
-    elsewhere = sum((_words(other.read_text(encoding="utf-8"))
-                     for other in PROGRAM if other != path), Counter())
-    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    # a name counts as used where code outside its own definition refers
+    # to it, or a string other than a docstring names it
+    elsewhere = set().union(*(used for other in PROGRAM if other != path
+                              for used in _uses(other)))
+    own = _uses(path)
     unused = []
-    for node in ast.parse("".join(lines)).body:
-        outside = _words("".join(lines[:node.lineno - 1]
-                                 + lines[node.end_lineno:]))
+    for i, node in enumerate(_tree(path).body):
+        outside = elsewhere.union(*own[:i], *own[i + 1:])
         unused += [f"{path.stem}.{name}" for name in _defined_names(node)
-                   if not elsewhere[name] + outside[name]]
+                   if name not in outside]
     assert sorted(set(unused)) == []
