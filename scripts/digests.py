@@ -11,11 +11,12 @@ inputs with the committed ``perfbench/correct_model.gst``.  They digest
 numbers and tokens, not report text, so a change to an output format
 does not move them.
 
-Float results depend on the BLAS build, so the output starts with a
-``#`` header naming the numpy and BLAS builds, and only the alignment
-digests, which are pure Python, hold on any machine.  The script pins
-OpenBLAS to one thread.  Run it from any directory; it imports the
-package from the ``src/`` next to it:
+Float results depend on the BLAS build and on the SIMD loops numpy
+dispatches its ufuncs to, so the output starts with a ``#`` header
+naming the numpy build, the BLAS build and the SIMD extensions, and
+only the alignment digests, which are pure Python, hold on any machine.
+The script pins OpenBLAS to one thread.  Run it from any directory; it
+imports the package from the ``src/`` next to it:
 
     python3 scripts/digests.py > scripts/digests.txt   # record
     python3 scripts/digests.py --check  # exit 1 naming each moved line
@@ -117,6 +118,8 @@ def header():
     build = " ".join(blas.get("openblas configuration", "").split())
     yield f"# numpy {np.__version__}"
     yield f"# BLAS {blas['name']} {blas['version']} {build}".rstrip()
+    simd = np.__config__.CONFIG["SIMD Extensions"]
+    yield f"# SIMD {' '.join(simd['baseline'] + simd['found'])}"
 
 
 def recorded() -> dict[str, str]:

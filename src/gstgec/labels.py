@@ -345,7 +345,13 @@ def extract_labels(pair: SentencePair) -> LabelSequence:
 
 def apply_labels_with_warnings(
         src: TokenSeq, labels: LabelSequence) -> tuple[TokenSeq, list[str]]:
-    """Apply labels in one left-to-right pass; inapplicable rules no-op."""
+    """Apply labels in one left-to-right pass.
+
+    A label that is not carried out keeps its token and adds one warning
+    naming its position and the label: a sentinel label outside
+    SENTINEL_KINDS, a rule with no rewrite for its token (a merge at the
+    last position included), or the label of a token that a merge
+    swallows, unless that label is $KEP or $DEL."""
     if len(src) != len(labels):
         raise ValueError("label sequence length must match token count")
     out: list[str] = []
@@ -368,36 +374,31 @@ def apply_labels_with_warnings(
             out.append(label.param)
         elif kind is Kind.REP:
             out.append(label.param)
-        elif kind is Kind.CAS:
-            out.append(morph.apply_case(tok, label.param))
-        elif kind is Kind.MRG:
-            if i + 1 >= n:
-                warnings.append(f"pos {i}: MRG at final position")
+        elif kind is Kind.MRG and i + 1 < n:
+            out.append(tok + src[i + 1])
+            i += 1
+            swallowed = labels[i]  # extraction writes $DEL here
+            if swallowed.kind not in (Kind.KEP, Kind.DEL):
+                warnings.append(
+                    f"pos {i}: {swallowed} does not apply to {src[i]!r}")
+        else:  # a rule's rewrite, None when it does not apply
+            if kind is Kind.CAS:
+                rewrite = morph.apply_case(tok, label.param)
+            elif kind is Kind.NNUM:
+                rewrite = morph.toggle_number(tok)
+            elif kind is Kind.VFORM:
+                rewrite = morph.apply_verb_form(tok, label.param)
+            elif kind is Kind.SPL:
+                rewrite = morph.split_hyphen(tok)
+            else:  # MRG at the last position
+                rewrite = None
+            if rewrite is None:
+                warnings.append(f"pos {i}: {label} does not apply to {tok!r}")
                 out.append(tok)
+            elif kind is Kind.SPL:
+                out.extend(rewrite)
             else:
-                out.append(tok + src[i + 1])
-                i += 1  # the merged-in token's own label is ignored
-        elif kind is Kind.SPL:
-            parts = morph.split_hyphen(tok)
-            if parts is None:
-                warnings.append(f"pos {i}: SPL on unsplittable {tok!r}")
-                out.append(tok)
-            else:
-                out.extend(parts)
-        elif kind is Kind.NNUM:
-            toggled = morph.toggle_number(tok)
-            if toggled is None:
-                warnings.append(f"pos {i}: no number rule for {tok!r}")
-                out.append(tok)
-            else:
-                out.append(toggled)
-        elif kind is Kind.VFORM:
-            mapped = morph.apply_verb_form(tok, label.param)
-            if mapped is None:
-                warnings.append(f"pos {i}: no verb rule for {tok!r}")
-                out.append(tok)
-            else:
-                out.append(mapped)
+                out.append(rewrite)
         i += 1
     return tuple(out), warnings
 

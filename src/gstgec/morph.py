@@ -4,8 +4,9 @@ Four rule families live here: case changes and hyphen splits (purely
 algorithmic), noun-number toggling (suffix rules plus an irregular
 lexicon), and verb-form mapping (an explicit irregular table plus
 regular suffix rules over a list of common lemmas).  Every applier
-returns ``None`` when no rule fires, so callers can fall back to a
-plain replacement.
+returns ``None`` when no rule fires.  Label extraction then falls back
+to a plain replacement (``$REP``); label application keeps the token
+and warns.
 """
 
 from __future__ import annotations

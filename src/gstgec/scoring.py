@@ -19,31 +19,21 @@ Edit = tuple[int, int, str]
 
 
 def extract_edits(source: TokenSeq, corrected: TokenSeq) -> set[Edit]:
-    ops = align_ops(source, corrected)
     edits: set[Edit] = set()
-    group: list[tuple] = []
-
-    def flush():
-        if not group:
-            return
-        starts = [op[1] for op in group if op[0] in ("sub", "del")]
-        if starts:
-            start = min(starts)
-            end = max(starts) + 1
-        else:  # pure insertion run after anchor i
-            start = group[0][1] + 1
-            end = start
-        repl = " ".join(corrected[op[2]] for op in group
-                        if op[0] in ("sub", "ins"))
-        edits.add((start, end, repl))
-        group.clear()
-
-    for op in ops:
-        if op[0] == "match":
-            flush()
-        else:
-            group.append(op)
-    flush()
+    run: list[tuple] = []
+    # a closing match ends the last run of non-match ops
+    for op in [*align_ops(source, corrected), ("match", None, None)]:
+        if op[0] != "match":
+            run.append(op)
+        elif run:
+            starts = [i for kind, i, _ in run if kind != "ins"]
+            if starts:
+                start, end = min(starts), max(starts) + 1
+            else:  # pure insertion run after anchor i
+                start = end = run[0][1] + 1
+            edits.add((start, end, " ".join(corrected[j] for kind, _, j in run
+                                            if kind != "del")))
+            run = []
     return edits
 
 
