@@ -12,6 +12,13 @@ checking every size the header and config declare against the file's.
 The model object is the model config's fields.  An older file's
 "dropout" entry is read past: a rate in [0, 1) loads and is ignored.
 
+The "sum_of_squares" object records the weights' sums of squares,
+each taken in the model's dtype: each array's own under "arrays", and
+their "total".  A load compares the one dot product it takes anyway
+with the total, so a weight corrupted by more than the tolerance is
+refused at no extra pass; the per-array sums are taken only then, to
+name the array.  A file written before the record loads unchecked.
+
 A file that cannot be loaded raises a plain GstError whose message
 gives the reason, also when the model object fails ModelConfig's
 checks: a bad file is a data fault, not the user's mistake.
@@ -34,6 +41,11 @@ from .model import GecModel, ModelConfig, flat_params, param_shapes, \
     param_views
 
 MAGIC = b"GST1"
+RECORD_TOLERANCE = 1e-3  # relative, between a load's sum and the record's
+
+
+def _sum_of_squares(a: np.ndarray) -> float:
+    return float(np.vdot(a, a))
 
 
 def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
@@ -44,11 +56,16 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
         raise ValueError("parameters are not the config's, in its order")
     flat = flat_params(model.params)
     stored = np.dtype(model.cfg.dtype).newbyteorder("<")
+    # weights that the loader refuses record a sum that is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = {name: _sum_of_squares(a) for name, a in model.params.items()}
+    record = {"total": sum(arrays.values()), "arrays": arrays}
     cfg_doc = {
         "model": asdict(model.cfg),
         "tokens": model.token_vocab.tokens,
         "labels": model.label_vocab.labels,
         "extra": extra or {},
+        "sum_of_squares": record,
     }
     blob = json.dumps(cfg_doc, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
@@ -59,17 +76,26 @@ def save_checkpoint(model: GecModel, path, extra: dict | None = None) -> None:
 
 
 def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
-                                      dict]:
-    """The model config, vocabularies and extra settings of a config
-    document, each checked."""
+                                      dict, dict | None]:
+    """The model config, vocabularies, extra settings and sum-of-squares
+    record (None in a file written before it) of a config document,
+    each checked."""
     try:
         cfg_doc = json.loads(doc.decode("utf-8"))
         model_kwargs = cfg_doc["model"]
         tokens = cfg_doc["tokens"]
         labels = cfg_doc["labels"]
         extra = cfg_doc["extra"]
+        record = cfg_doc.get("sum_of_squares")
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise GstError(f"invalid config document: {exc}") from exc
+    # the writer's floats always read back as floats
+    if record is not None and not (
+            isinstance(record, dict) and isinstance(record.get("total"), float)
+            and isinstance(record.get("arrays"), dict)
+            and all(isinstance(v, float) for v in record["arrays"].values())):
+        raise GstError("sum_of_squares must hold a float total and an "
+                       "object of floats under arrays")
     # the labels are parsed on first use, so their type is checked here
     for name, entries in (("tokens", tokens), ("labels", labels)):
         if not (isinstance(entries, list)
@@ -88,14 +114,40 @@ def _read_config(doc: bytes) -> tuple[ModelConfig, TokenVocab, LabelVocab,
         raise GstError(str(exc)) from exc
     if cfg.vocab_size != len(token_vocab) or cfg.num_labels != len(label_vocab):
         raise GstError("config shapes disagree with vocabularies")
-    return cfg, token_vocab, label_vocab, extra
+    return cfg, token_vocab, label_vocab, extra, record
+
+
+def _agrees(value, recorded) -> bool:
+    return math.isclose(value, recorded, rel_tol=RECORD_TOLERANCE)
+
+
+def _weights_error(params, total, record, dtype) -> GstError:
+    """The fault of weights whose sum of squares, total, is not finite
+    or differs from the record: the first array whose own sum is not
+    finite or differs from its record is named."""
+    recorded = {} if record is None else record["arrays"]
+    for name, a in params.items():
+        value = _sum_of_squares(a)
+        if not (math.isfinite(value)
+                and _agrees(value, recorded.get(name, value))):
+            what, want = f"weight array {name!r}", recorded.get(name)
+            break
+    else:
+        what, value = "weights", total
+        want = None if record is None else record["total"]
+    if not math.isfinite(value):
+        return GstError(f"{what}: sum of squares not finite in {dtype} "
+                        "(a NaN, an infinity or too large a weight)")
+    return GstError(f"{what}: sum of squares {value:.6g} differs from the "
+                    f"recorded {want:.6g} (a corrupted weight)")
 
 
 def load_checkpoint(path) -> tuple[GecModel, dict]:
     """Returns the model and the saved extra-config dict.  Nothing is
     read or allocated at a size the file declares until the file is
-    known to hold that many bytes; weights that are not finite, or
-    whose sum of squares overflows the dtype, are rejected."""
+    known to hold that many bytes; weights that are not finite, whose
+    sum of squares overflows the dtype, or whose sum of squares differs
+    from the file's record, are rejected."""
     with open(path, "rb") as fh:
         status = os.fstat(fh.fileno())
         if not stat.S_ISREG(status.st_mode):
@@ -109,7 +161,7 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
         start = 8 + int.from_bytes(head[4:], "little")
         if size < start:
             raise GstError("file ends inside the config document")
-        cfg, token_vocab, label_vocab, extra = _read_config(
+        cfg, token_vocab, label_vocab, extra, record = _read_config(
             fh.read(start - 8))
 
         stored = np.dtype(cfg.dtype).newbyteorder("<")
@@ -131,13 +183,11 @@ def load_checkpoint(path) -> tuple[GecModel, dict]:
     flat = flat.astype(cfg.dtype, copy=False)
     params = param_views(flat, shapes)
     # weights whose squares overflow the dtype overflow in the forward
-    # pass, so one dot product screens out those and NaN and infinity
+    # pass, so one dot product screens out those and NaN and infinity,
+    # and, against the record, a weight corrupted within that bound
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(flat @ flat):
-            name = next((name for name, a in params.items()
-                         if not np.isfinite(a.ravel() @ a.ravel())), None)
-            what = "weights" if name is None else f"weight array {name!r}"
-            raise GstError(
-                f"{what}: sum of squares not finite in {cfg.dtype} "
-                "(a NaN, an infinity or too large a weight)")
+        total = _sum_of_squares(flat)
+        if not math.isfinite(total) or (
+                record is not None and not _agrees(total, record["total"])):
+            raise _weights_error(params, total, record, cfg.dtype)
     return GecModel(cfg, params, token_vocab, label_vocab), extra

@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import TokenSeq
 from .errors import ConfigError
 from .labels import Kind, LabelSequence, apply_labels, format_label
-from .model import GecModel, TokenDistributions
+from .model import GecModel
 from .sampling import keep_biased_ids
 
 
@@ -65,15 +65,9 @@ class CorrectionTrace:
         return "\n".join(lines)
 
 
-def sentence_error_score(dists: TokenDistributions) -> float:
+def sentence_error_score(ged: np.ndarray) -> float:
     """Sum of error-class probability over non-sentinel positions."""
-    return float(dists.ged[1:, 1].sum())
-
-
-def predict_labels(model: GecModel, dists: TokenDistributions,
-                   beta: float) -> LabelSequence:
-    return model.label_vocab.decode(
-        keep_biased_ids(dists.gel, beta).tolist())
+    return float(ged[1:, 1].sum())
 
 
 def correct(model: GecModel, sentence: TokenSeq,
@@ -82,9 +76,10 @@ def correct(model: GecModel, sentence: TokenSeq,
     trace = CorrectionTrace()
     cur = sentence
     for _ in range(config.max_iters):
-        dists = model.forward_tokens(cur)
-        score = sentence_error_score(dists)
-        labels = predict_labels(model, dists, config.beta)
+        ged, gel = model.forward_tokens(cur)
+        score = sentence_error_score(ged)
+        labels = model.label_vocab.decode(
+            keep_biased_ids(gel, config.beta).tolist())
         any_edit = any(lab.kind is not Kind.KEP for lab in labels)
         if score <= config.gamma or not any_edit:
             trace.rounds.append(CorrectionRound(cur, labels, score, False))

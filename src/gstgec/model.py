@@ -70,14 +70,6 @@ class ModelConfig:
             raise ConfigError("dtype must be float32 or float64")
 
 
-@dataclass
-class TokenDistributions:
-    """Row-stochastic per-position outputs of the two heads."""
-
-    ged: np.ndarray  # (n, 2); column 1 is the error class
-    gel: np.ndarray  # (n, num_labels)
-
-
 def param_shapes(cfg: ModelConfig):
     """(name, shape) of each parameter in declared order, the order
     checkpoints serialize in; made one at a time, so a caller that stops
@@ -303,16 +295,18 @@ def _heads(params, x):
     return ged, gel
 
 
-def forward(params, ids, cfg: ModelConfig) -> TokenDistributions:
-    """Detection and labeling probability rows, one per token; positions
-    past the window (max_len) are certain keeps: ged [1, 0], gel id 0."""
+def forward(params, ids, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The detection rows ged (n, 2), column 1 the error class, and the
+    labeling rows gel (n, num_labels): one row-stochastic row per token.
+    Positions past the window (max_len) are certain keeps: ged [1, 0],
+    gel id 0."""
     x, _ = _encode_fwd(params, _truncate(np.asarray(ids), cfg)[None], cfg)
     ged, gel = _heads(params, x)
     if len(ids) > len(x):
         pad = ((0, len(ids) - len(x)), (0, 0))
         ged, gel = np.pad(ged, pad), np.pad(gel, pad)
         ged[len(x):, 0] = gel[len(x):, 0] = 1
-    return TokenDistributions(ged=ged, gel=gel)
+    return ged, gel
 
 
 def _pad_batch(ids, label_ids, cfg, dtype):
@@ -523,5 +517,5 @@ class GecModel:
                           num_labels=len(label_vocab), **cfg_kwargs)
         return cls(cfg, init_params(cfg, seed), token_vocab, label_vocab)
 
-    def forward_tokens(self, tokens) -> TokenDistributions:
+    def forward_tokens(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         return forward(self.params, self.token_vocab.encode(tokens), self.cfg)

@@ -150,12 +150,11 @@ def synthesize_example(model: GecModel, pair: SentencePair,
     must equal extract_labels(pair): a sample that leaves the source
     unchanged reuses them instead of aligning again.
     """
-    dists = model.forward_tokens(pair.source)
-    if sentence_error_score(dists) <= cfg.gamma:
+    ged, rows = model.forward_tokens(pair.source)
+    if sentence_error_score(ged) <= cfg.gamma:
         return None
     vocab = model.label_vocab
     # the rows are forward's own; sample_ids normalizes them
-    rows = dists.gel
     rows[0] *= vocab.sentinel_mask
     if not rows[0].any():
         # no admitted label kept any mass: the sentinel keeps, as in decode

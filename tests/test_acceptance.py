@@ -24,10 +24,11 @@ from gstgec.checkpoint import load_checkpoint
 from gstgec.cli import main
 from gstgec.corpus import write_parallel_tsv
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
-from gstgec.inference import InferenceConfig, correct, predict_labels
+from gstgec.inference import InferenceConfig, correct
 from gstgec.labels import Kind, correct_iteratively, edit_distance
 from gstgec.model import ModelConfig, init_params, loss_and_grads, loss_only
-from gstgec.sampling import relax_with_noise, sample_gumbel
+from gstgec.sampling import keep_biased_ids, relax_with_noise, \
+    sample_gumbel
 from gstgec.scoring import f_beta
 
 from oracles import PUBLISHED_ROWS, ROW_TOL, finite_difference_check
@@ -150,10 +151,11 @@ def test_criterion_5_inference_invariants(capsys, toy_model):
     gammas = (0.0, 0.5, 1.0, 2.0)
     problems = []
     for pair in pairs:
-        dists = toy_model.forward_tokens(pair.source)
+        _, gel = toy_model.forward_tokens(pair.source)
         previous = None
         for beta in betas:
-            labels = predict_labels(toy_model, dists, beta)
+            labels = toy_model.label_vocab.decode(
+                keep_biased_ids(gel, beta).tolist())
             flagged = {i for i, lab in enumerate(labels)
                        if lab.kind is not Kind.KEP}
             if previous is not None and not flagged <= previous:

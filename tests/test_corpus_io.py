@@ -21,7 +21,8 @@ from gstgec.corpus import SENTINEL, SentencePair, TokenVocab, detokenize, \
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
 from gstgec.errors import ConfigError, GstError
 from gstgec.labels import LabelVocab
-from gstgec.model import GecModel, ModelConfig, flat_params
+from gstgec.model import GecModel, ModelConfig, flat_params, param_shapes, \
+    param_views
 
 from corpus_files import write_sentences
 
@@ -191,13 +192,19 @@ def test_checkpoint_refuses_parameters_not_in_the_config_order(tmp_path,
 
 def test_committed_checkpoint_resaves_byte_for_byte(tmp_path):
     # the committed file holds the "dropout" entry that the writer no
-    # longer writes; a resave is its bytes without that entry
+    # longer writes, and no sum-of-squares record; a resave is its bytes
+    # without that entry and with the record, last in the document
     data = COMMITTED_CHECKPOINT.read_bytes()
     start = 8 + int.from_bytes(data[4:8], "little")
     assert data[8:start].count(b'"dropout": 0.0, ') == 1
     doc = data[8:start].replace(b'"dropout": 0.0, ', b"")
-    assert len(doc) == 6635
+    assert len(doc) == 6635 and b"sum_of_squares" not in doc
     model, extra = load_checkpoint(COMMITTED_CHECKPOINT)
+    arrays = {name: float(np.vdot(a, a)) for name, a in model.params.items()}
+    record = {"total": sum(arrays.values()), "arrays": arrays}
+    assert record["total"] == pytest.approx(664.47, abs=0.005)
+    doc = doc[:-1] + b', "sum_of_squares": ' + json.dumps(record).encode() \
+        + b"}"
     path = tmp_path / "resaved.gst"
     save_checkpoint(model, path, extra=extra)
     assert path.read_bytes() == \
@@ -398,7 +405,9 @@ def test_checkpoint_dropout_rate_is_read_past(tmp_path, capsys):
     ("dropout", _set_model_field("dropout", 1.5)),
     ("dropout", _set_model_field("dropout", "x")),
     ("model", lambda doc: {**doc, "model": [1, 2]}),
-], ids=["dropout-1.5", "dropout-str", "model-list"])
+    ("sum_of_squares", lambda doc: {**doc, "sum_of_squares": {
+        "total": 664, "arrays": {}}}),
+], ids=["dropout-1.5", "dropout-str", "model-list", "record-int-total"])
 def test_checkpoint_malformed_model_object_exits_1(tmp_path, capsys, field,
                                                    edit):
     path = tmp_path / "model.gst"
@@ -461,6 +470,33 @@ def test_checkpoint_non_finite_weights_exit_1(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"'{array}'" in err
+
+
+@pytest.mark.parametrize("name,index,value", [
+    ("blk1.Wv", (1, 1), 1e15), ("gel_b", 5, 1e18),
+], ids=["Wv-1e15", "gel_b-1e18"])
+@pytest.mark.parametrize("command", ["correct", "synthesize"])
+def test_checkpoint_weight_corrupted_under_the_overflow_bound_exits_1(
+        tmp_path, capsys, command, name, index, value):
+    # the squares stay finite in float32, so only the file's record of
+    # the sum of squares tells this weight from a trained one
+    model, extra = load_checkpoint(COMMITTED_CHECKPOINT)
+    path = tmp_path / "model.gst"
+    save_checkpoint(model, path, extra=extra)
+    shapes = dict(param_shapes(model.cfg))
+    _edit_weights(path, lambda w: param_views(w, shapes)[name].__setitem__(
+        index, value))
+    data = tmp_path / "pairs.tsv"
+    write_parallel_tsv([SentencePair(tokenize("the dog run fast ."),
+                                     tokenize("the dog runs fast ."))], data)
+    if command == "correct":
+        argv = ["--input", str(data)]
+    else:
+        argv = ["--data", str(data), "--out", str(tmp_path / "syn.tsv")]
+    assert main([command, "--model", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: weight array '{name}': sum of squares ")
+    assert err.count("\n") == 1 and "differs from the recorded" in err
 
 
 def test_checkpoint_signaling_nan_weight_is_named_without_a_warning(
@@ -543,10 +579,14 @@ def test_mutated_checkpoint_exits_0_or_1_with_one_error_line(mutation_dir,
     path = mutation_dir / "mutated.gst"
     path.write_bytes(_mutate((mutation_dir / "base.gst").read_bytes(), data))
     try:
-        load_checkpoint(path)
+        model, _ = load_checkpoint(path)
     except GstError as exc:
         # a refused file is a data fault, never a ConfigError
         assert type(exc) is GstError
+    else:
+        # the sum-of-squares record refuses a weight corrupted far past
+        # the base's largest (about 1 in magnitude)
+        assert np.abs(flat_params(model.params)).max() <= 10
     pairs = str(mutation_dir / "pairs.tsv")
     for command, *argv in (
             ["correct", "--input", pairs],

@@ -5,33 +5,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gstgec.corpus import SENTINEL, TokenVocab, tokenize
-from gstgec.inference import InferenceConfig, correct, predict_labels, \
-    sentence_error_score
+from gstgec.inference import InferenceConfig, correct, sentence_error_score
 from gstgec.labels import KEEP, SENTINEL_KINDS, Kind, LabelVocab
-from gstgec.model import GecModel, TokenDistributions
+from gstgec.model import GecModel
+from gstgec.sampling import keep_biased_ids
 
 
-def make_dists(err_probs, gel=None):
-    ged = np.stack([[1 - p, p] for p in err_probs])
-    if gel is None:
-        gel = np.full((len(err_probs), 3), 1 / 3)
-    return TokenDistributions(ged=ged, gel=np.asarray(gel))
+def make_ged(err_probs):
+    return np.stack([[1 - p, p] for p in err_probs])
+
+
+def decode_biased(model, gel, beta):
+    """The labels correct reads off labeling rows at keep bias beta."""
+    return model.label_vocab.decode(keep_biased_ids(gel, beta).tolist())
 
 
 def test_sentence_error_score_zero():
-    assert sentence_error_score(make_dists([0.0, 0.0, 0.0])) == 0.0
+    assert sentence_error_score(make_ged([0.0, 0.0, 0.0])) == 0.0
 
 
 def test_sentence_error_score_sum():
     # sentinel position excluded; four real positions at 0.5 sum to 2
-    assert sentence_error_score(make_dists([0.9, 0.5, 0.5, 0.5, 0.5])) \
+    assert sentence_error_score(make_ged([0.9, 0.5, 0.5, 0.5, 0.5])) \
         == pytest.approx(2.0)
 
 
 def test_sentence_error_score_additive():
-    a = make_dists([0.0, 0.3, 0.4])
-    b = make_dists([0.0, 0.2])
-    combined = make_dists([0.0, 0.3, 0.4, 0.2])
+    a = make_ged([0.0, 0.3, 0.4])
+    b = make_ged([0.0, 0.2])
+    combined = make_ged([0.0, 0.3, 0.4, 0.2])
     assert sentence_error_score(combined) == pytest.approx(
         sentence_error_score(a) + sentence_error_score(b))
 
@@ -41,11 +43,10 @@ VOCAB_MODEL = SimpleNamespace(
 
 
 def row_labels(rows, beta):
-    """predict_labels on rows placed after a sentinel that keeps, so the
-    sentinel rule leaves them alone."""
+    """The decoded labels of rows placed after a sentinel that keeps, so
+    the sentinel rule leaves them alone."""
     gel = np.vstack([[1.0, 0.0, 0.0, 0.0], rows])
-    dists = TokenDistributions(ged=np.full((len(gel), 2), 0.5), gel=gel)
-    return predict_labels(VOCAB_MODEL, dists, beta)[1:]
+    return decode_biased(VOCAB_MODEL, gel, beta)[1:]
 
 
 def test_biased_argmax_flips_to_keep():
@@ -130,10 +131,10 @@ def test_beta_monotonicity(toy_model, toy_pairs):
     # positions flagged non-KEP shrink as beta grows
     betas = [0.0, 0.1, 0.5, 1.5]
     for pair in toy_pairs[:100]:
-        dists = toy_model.forward_tokens(pair.source)
+        _, gel = toy_model.forward_tokens(pair.source)
         previous = None
         for beta in betas:
-            labels = predict_labels(toy_model, dists, beta)
+            labels = decode_biased(toy_model, gel, beta)
             flagged = {i for i, lab in enumerate(labels)
                        if lab.kind is not Kind.KEP}
             if previous is not None:
@@ -178,21 +179,20 @@ def test_inference_config_rejects_nan(field):
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
-def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
-                                                     beta):
+def test_decoded_labels_equal_per_row_biased_argmax(toy_model, toy_pairs,
+                                                    beta):
     rng = np.random.default_rng(17)
     num_labels = len(toy_model.label_vocab)
-    model_dists = [toy_model.forward_tokens(p.source) for p in toy_pairs[:40]]
+    model_rows = [toy_model.forward_tokens(p.source)[1]
+                  for p in toy_pairs[:40]]
     # flat random rows put every label, the sentinel's included, on top
-    random_dists = [TokenDistributions(
-        ged=np.full((8, 2), 0.5),
-        gel=rng.dirichlet(np.full(num_labels, 0.05), size=8))
-        for _ in range(40)]
+    random_rows = [rng.dirichlet(np.full(num_labels, 0.05), size=8)
+                   for _ in range(40)]
     edits = sentinel_fixes = 0
-    for dists in model_dists + random_dists:
+    for gel in model_rows + random_rows:
         # per row: add beta to the keep entry, argmax, unknown keeps
         want = []
-        for row in dists.gel:
+        for row in gel:
             biased = np.array(row, dtype=np.float64)
             biased[0] += beta
             label = toy_model.label_vocab.parsed[int(biased.argmax())]
@@ -200,7 +200,7 @@ def test_predict_labels_equals_per_row_biased_argmax(toy_model, toy_pairs,
         if want[0].kind not in SENTINEL_KINDS:
             want[0] = KEEP
             sentinel_fixes += 1
-        got = predict_labels(toy_model, dists, beta)
+        got = decode_biased(toy_model, gel, beta)
         assert got == want
         edits += sum(lab.kind is not Kind.KEP for lab in got)
     if beta < 1.0:
@@ -213,10 +213,10 @@ def test_correct_keeps_positions_past_the_window(toy_model, long_toy_pair):
     sentence = long_toy_pair.source
     trace = correct(toy_model, sentence, InferenceConfig(gamma=0.0))
     first = trace.rounds[0]
-    head = toy_model.forward_tokens(sentence[:window])
+    head_ged, head_gel = toy_model.forward_tokens(sentence[:window])
     # the score sums the window alone, and its labels are the window's
-    assert first.score == sentence_error_score(head)
-    assert first.labels[:window] == predict_labels(toy_model, head, 0.0)
+    assert first.score == sentence_error_score(head_ged)
+    assert first.labels[:window] == decode_biased(toy_model, head_gel, 0.0)
     assert all(lab.kind is Kind.KEP for lab in first.labels[window:])
     assert any(r.applied for r in trace.rounds)
     assert trace.final[0] == SENTINEL

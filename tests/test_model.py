@@ -67,13 +67,13 @@ def test_forward_keeps_positions_past_the_window():
     params = init_params(cfg, 0)
     ids = np.arange(1, 10)
     with pytest.warns(UserWarning):
-        d = forward(params, ids, cfg)
-    head = forward(params, ids[:4], cfg)
-    assert d.ged.shape == (9, 2) and d.gel.shape == (9, cfg.num_labels)
-    assert d.ged[:4].tobytes() == head.ged.tobytes()
-    assert d.gel[:4].tobytes() == head.gel.tobytes()
-    assert (d.ged[4:] == [1, 0]).all()
-    assert (d.gel[4:] == np.eye(cfg.num_labels)[0]).all()
+        ged, gel = forward(params, ids, cfg)
+    head_ged, head_gel = forward(params, ids[:4], cfg)
+    assert ged.shape == (9, 2) and gel.shape == (9, cfg.num_labels)
+    assert ged[:4].tobytes() == head_ged.tobytes()
+    assert gel[:4].tobytes() == head_gel.tobytes()
+    assert (ged[4:] == [1, 0]).all()
+    assert (gel[4:] == np.eye(cfg.num_labels)[0]).all()
 
 
 def test_loss_and_grads_truncates_labels_with_ids():
@@ -95,17 +95,17 @@ def test_forward_zero_heads_uniform():
     params = init_params(cfg, 0)
     for name in ("ged_W", "ged_b", "gel_W", "gel_b"):
         params[name][:] = 0
-    d = forward(params, np.array([1, 2, 3]), cfg)
-    assert np.allclose(d.ged, 0.5)
-    assert np.allclose(d.gel, 1.0 / cfg.num_labels)
+    ged, gel = forward(params, np.array([1, 2, 3]), cfg)
+    assert np.allclose(ged, 0.5)
+    assert np.allclose(gel, 1.0 / cfg.num_labels)
 
 
 def test_forward_rows_sum_to_one():
     cfg = small_cfg()
     params = init_params(cfg, 4)
-    d = forward(params, np.array([1, 2, 3, 4]), cfg)
-    assert np.allclose(d.ged.sum(1), 1.0, atol=1e-6)
-    assert np.allclose(d.gel.sum(1), 1.0, atol=1e-6)
+    ged, gel = forward(params, np.array([1, 2, 3, 4]), cfg)
+    assert np.allclose(ged.sum(1), 1.0, atol=1e-6)
+    assert np.allclose(gel.sum(1), 1.0, atol=1e-6)
 
 
 def test_forward_logit_bonus_dominates():
@@ -114,8 +114,8 @@ def test_forward_logit_bonus_dominates():
     params["gel_b"][:] = 0
     params["gel_b"][3] = 10.0
     params["gel_W"][:] = 0
-    d = forward(params, np.array([1, 2]), cfg)
-    assert (d.gel.argmax(1) == 3).all()
+    _, gel = forward(params, np.array([1, 2]), cfg)
+    assert (gel.argmax(1) == 3).all()
 
 
 def test_loss_uniform_heads_value():
@@ -136,10 +136,10 @@ def test_detection_target_is_every_non_keep_label():
     ids = np.array([0, 4, 9, 2, 7, 11])
     labels = np.array([0, 1, 3, 0, 1, 6])
     loss, _ = loss_and_grads(params, [ids], [labels], cfg)
-    d = forward(params, ids, cfg)
+    ged, gel = forward(params, ids, cfg)
     rows = np.arange(len(ids))
-    want = -np.mean(np.log(d.ged[rows, (labels != 0).astype(int)])
-                    + np.log(d.gel[rows, labels]))
+    want = -np.mean(np.log(ged[rows, (labels != 0).astype(int)])
+                    + np.log(gel[rows, labels]))
     assert loss == pytest.approx(want, rel=0, abs=1e-12)
 
 
@@ -532,11 +532,11 @@ def test_single_sentence_is_bitwise_the_reference_encoder(dtype):
     for n in (1, 2, 7, 16, 40):
         ids = rng.integers(0, cfg.vocab_size, size=n)
         x, ged, gel = reference_encode(params, ids, cfg)
-        d = forward(params, ids, cfg)
+        got_ged, got_gel = forward(params, ids, cfg)
         assert _encode_fwd(params, ids[None], cfg)[0].tobytes() == \
             x.tobytes()
-        assert d.ged.tobytes() == ged.tobytes()
-        assert d.gel.tobytes() == gel.tobytes()
+        assert got_ged.tobytes() == ged.tobytes()
+        assert got_gel.tobytes() == gel.tobytes()
 
 
 def test_batch_rejects_mismatched_and_empty_input():

@@ -11,7 +11,7 @@ from gstgec.corruption import ALL_RULES, corrupt_corpus, corrupt_sentence, \
 from gstgec.labels import Kind, correct_iteratively, extract_labels, \
     measure_error_rate
 from gstgec import training
-from gstgec.model import AdamState, GecModel, TokenDistributions, loss_only
+from gstgec.model import AdamState, GecModel, loss_only
 from gstgec.sampling import SamplingConfig, SamplingMode
 from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
     metrics_csv, run_gst, synthesize_dataset, synthesize_example, train_epoch
@@ -92,8 +92,7 @@ def test_synthesize_keeps_a_sentinel_whose_row_has_no_admitted_mass(
     gel = np.eye(len(vocab))[np.zeros(n, dtype=int)]
     gel[0] = np.eye(len(vocab))[vocab.labels.index("$DEL")]
     ged = np.tile([0.0, 1.0], (n, 1))
-    monkeypatch.setattr(model, "forward_tokens",
-                        lambda tokens: TokenDistributions(ged, gel))
+    monkeypatch.setattr(model, "forward_tokens", lambda tokens: (ged, gel))
     gold = extract_labels(pair)
     cfg = TrainingConfig(gamma=0.0)
     with warnings.catch_warnings():
@@ -194,6 +193,29 @@ def test_synthesis_fraction_shrinks_with_gamma(toy_model, toy_pairs):
         counts.append(len(syn))
     assert counts == sorted(counts, reverse=True)
     assert counts[-1] == 0
+
+
+@pytest.mark.parametrize("mode", list(SamplingMode))
+def test_synthesize_dataset_draws_each_example_from_its_own_stream(
+        toy_model, toy_pairs, mode):
+    # example k draws from (seed, stage, k) alone, so the set does not
+    # depend on which pairs come before k or in what order they run
+    seed, stage, m = 23, 3, 120
+    cfg = TrainingConfig(gamma=0.5, beta=0.2,
+                         sampling=SamplingConfig(mode=mode))
+    gold = [extract_labels(p) for p in toy_pairs]
+    full = synthesize_dataset(toy_model, toy_pairs, gold, stage, cfg, seed)
+    prefix = synthesize_dataset(toy_model, toy_pairs[:m], gold[:m], stage,
+                                cfg, seed)
+    assert prefix == [syn for syn in full if syn.origin_index < m]
+    each = [synthesize_example(toy_model, pair, gold[k], k, cfg,
+                               np.random.default_rng((seed, stage, k)))
+            for k, pair in enumerate(toy_pairs)]
+    assert full == [syn for syn in each if syn is not None]
+    # the gate drops some pairs, and sampling changes some sources
+    assert 0 < len(full) < len(toy_pairs)
+    assert any(syn.source != toy_pairs[syn.origin_index].source
+               for syn in full)
 
 
 def test_run_gst_single_stage_consumes_no_synthetic():
@@ -485,12 +507,12 @@ def reference_synthesize_example(model, pair, gold_labels, origin_index,
     vocab = model.label_vocab
     kinds = [None if s == "$UNK" else parse_label(s).kind
              for s in vocab.labels]
-    dists = forward(model.params, model.token_vocab.encode(pair.source),
-                    model.cfg)
-    if sentence_error_score(dists) <= cfg.gamma:
+    ged, gel = forward(model.params, model.token_vocab.encode(pair.source),
+                       model.cfg)
+    if sentence_error_score(ged) <= cfg.gamma:
         return None
     sampled = []
-    for pos, row in enumerate(dists.gel):
+    for pos, row in enumerate(gel):
         probs = np.asarray(row, dtype=np.float64).copy()
         if pos == 0:
             allowed = np.zeros_like(probs)
