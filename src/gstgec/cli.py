@@ -6,7 +6,8 @@ next to it, recording every parsed option of the subcommand; re-running
 from the same manifest reproduces the outputs bit-exactly.  Settings
 are checked by the config dataclasses, which each subcommand builds
 before it reads any input; every output path is checked then too (its
-directory must exist, and it must not be a directory itself).
+directory must exist, and neither the output, its manifest nor the
+metrics file of train and gst may be a directory).
 
 Exit codes: 0 success, 1 runtime or data fault (a bad file or checkpoint,
 or a model too large to allocate), 2 usage or config error (a bad flag
@@ -75,7 +76,7 @@ def _add_model_args(p):
 
 
 def cmd_align(args) -> int:
-    _check_output_dir(args.output)
+    _check_outputs(args.output)
     pairs = read_parallel_tsv(args.input)
     write_labeled_tsv(((p.source, extract_labels(p)) for p in pairs),
                       args.output)
@@ -97,13 +98,14 @@ def _training_config(args) -> TrainingConfig:
     return TrainingConfig(**options)
 
 
-def _check_output_dir(path) -> None:
+def _check_outputs(path, *suffixes) -> None:
     """Fail before any input is read when an output cannot be written:
-    its directory is missing, or the path is a directory itself."""
-    output = Path(path)
-    if output.is_dir():
-        raise GstError(f"cannot write {path}: it is a directory")
-    parent = output.parent
+    <path>, <path><suffix> for each suffix, or <path>.manifest.  Their
+    directory must exist, and none of them may be a directory."""
+    for suffix in ("", *suffixes, ".manifest"):
+        if Path(f"{path}{suffix}").is_dir():
+            raise GstError(f"cannot write {path}{suffix}: it is a directory")
+    parent = Path(path).parent
     if not parent.is_dir():
         raise GstError(f"cannot write {path}: no directory {parent}")
 
@@ -126,7 +128,7 @@ def cmd_train(args) -> int:
     ModelConfig(vocab_size=0, num_labels=0, **model_settings)
     if not 0 <= args.heldout_frac < 1:
         raise ConfigError("heldout_frac must be in [0, 1)")
-    _check_output_dir(args.out)
+    _check_outputs(args.out, ".metrics.csv")
     pairs = _read_pairs(args.data)
     heldout = None
     if args.heldout:
@@ -163,7 +165,7 @@ def cmd_correct(args) -> int:
     icfg = InferenceConfig(gamma=args.gamma, beta=args.beta,
                            max_iters=args.max_iters)
     if args.output:
-        _check_output_dir(args.output)
+        _check_outputs(args.output)
     model, _ = load_checkpoint(args.model)
     sentences = read_sentences(args.input)
     out_lines = []
@@ -194,7 +196,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synthesize(args) -> int:
     cfg = _training_config(args)
-    _check_output_dir(args.out)
+    _check_outputs(args.out)
     model, _ = load_checkpoint(args.model)
     pairs = _read_pairs(args.data)
     gold = [extract_labels(p) for p in pairs]

@@ -14,11 +14,16 @@ loop.
 
 Extraction does only the work its labels need.  The common prefix of a
 pair is matched before the bit-parallel alignment pass, which then runs
-on the remaining suffixes alone.  Every closed-set label (keep, delete,
-merge, split, noun number, and each case rule and verb-form tag) is one
-shared immutable constant; only APPEND and REPLACE labels, whose
-parameter is a token, are built per call.  Compare labels by value:
-parse_label builds new objects.
+on the remaining suffixes alone.  The alignment lists only its edits
+(substitutions, deletions and insertions); a kept token is implied
+wherever the next edit does not start where the last one ended.  So
+extraction starts from all-keep labels and visits the edits alone, and
+application copies the runs of kept tokens between edited positions as
+slices.  Every closed-set label (keep, delete, merge, split, noun
+number, and each case rule and verb-form tag) is one shared immutable
+constant; only APPEND and REPLACE labels, whose parameter is a token,
+are built per call.  Compare labels by value: parse_label builds new
+objects.
 """
 
 from __future__ import annotations
@@ -172,8 +177,10 @@ class LabelVocab:
 # Alignment
 # ---------------------------------------------------------------------------
 
-# op tuples: ("match", i, j) | ("sub", i, j) | ("del", i, None)
-#          | ("ins", anchor_i, j)
+# op tuples: ("sub", i, j) | ("del", i, None) | ("ins", anchor_i, j).
+# A sub or del at i starts at source position i and an ins after anchor a
+# at a + 1; each ends at i + 1 (a + 1).  Matches are not listed: every
+# source position that no op starts at or covers is a kept token.
 
 
 def _delta_columns(src: TokenSeq,
@@ -210,11 +217,14 @@ def _delta_columns(src: TokenSeq,
 
 
 def align_ops(src: TokenSeq, tgt: TokenSeq) -> list[tuple]:
-    """Minimal-cost token alignment as a left-to-right op list.
+    """Minimal-cost token alignment as a left-to-right list of its edits.
 
     Unit cost for insert/delete/substitute, zero for match.  Ties at
     equal dynamic-programming cost are broken left to right preferring
-    match > substitution > deletion > insertion.
+    match > substitution > deletion > insertion.  Only the sub, del and
+    ins ops are returned; the matches between them are implied by the
+    gaps in source position (see the op tuples above), so identical
+    sequences give [].
 
     The traceback walks the suffix costs D[i][j] = ed(src[i:], tgt[j:]).
     These are the prefix costs of the reversed sequences, which Myers'
@@ -227,23 +237,23 @@ def align_ops(src: TokenSeq, tgt: TokenSeq) -> list[tuple]:
     the suffixes after it alone.  This changes no op: D reads only
     suffixes, and the traceback takes every pair of equal tokens as a
     match before it reads a cost.  (Trimming a common suffix too would
-    change tie-breaks.)
+    change tie-breaks.)  The traceback stops once D[i][j] is 0, where
+    the rest of both sequences are equal and all matches.
     """
     n, m = len(src), len(tgt)
     p = 0
     while p < n and p < m and src[p] == tgt[p]:
         p += 1
-    ops = [("match", k, k) for k in range(p)]
+    ops: list[tuple] = []
     # columns and bits count from the end, so they index the suffixes
     # after the prefix as they index the whole sequences
     vps, vns = _delta_columns(src[p:], tgt[p:])
     i = j = p
     cost = m - p + vps[-1].bit_count() - vns[-1].bit_count()  # D[i][j]
-    while i < n and j < m:
+    while cost and i < n and j < m:
         if src[i] == tgt[j]:
             # equal tokens always give D[i][j] == D[i+1][j+1], because
             # neighbouring costs differ by at most one: no cost to read
-            ops.append(("match", i, j))
             i += 1
             j += 1
             continue
@@ -265,9 +275,10 @@ def align_ops(src: TokenSeq, tgt: TokenSeq) -> list[tuple]:
             ops.append(("ins", i - 1, j))
             j += 1
             cost -= 1
-    # one side is used up: D[i][m] = n-i and D[n][j] = m-j
-    ops.extend(("del", k, None) for k in range(i, n))
-    ops.extend(("ins", n - 1, k) for k in range(j, m))
+    if cost:
+        # one side is used up: D[i][m] = n-i and D[n][j] = m-j
+        ops.extend(("del", k, None) for k in range(i, n))
+        ops.extend(("ins", n - 1, k) for k in range(j, m))
     return ops
 
 
@@ -309,17 +320,17 @@ def _classify_sub(src, tgt, ops, idx):
 
 
 def extract_labels(pair: SentencePair) -> LabelSequence:
-    """One corrective label per source position (sentinel included)."""
+    """One corrective label per source position (sentinel included).
+
+    Every position starts as KEEP, and only the edits of align_ops
+    rewrite labels."""
     src, tgt = pair.source, pair.target
     ops = align_ops(src, tgt)
-    labels: list[TransformLabel | None] = [None] * len(src)
+    labels = [KEEP] * len(src)
     idx = 0
     while idx < len(ops):
         op, i, j = ops[idx]
-        if op == "match":
-            labels[i] = KEEP
-            idx += 1
-        elif op == "del":
+        if op == "del":
             labels[i] = DELETE
             idx += 1
         elif op == "sub":
@@ -334,8 +345,7 @@ def extract_labels(pair: SentencePair) -> LabelSequence:
             if i >= 0 and labels[i] is KEEP:
                 labels[i] = TransformLabel(Kind.APP, tgt[j])
             idx += 1
-    assert all(lab is not None for lab in labels)
-    return labels  # type: ignore[return-value]
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +357,7 @@ def apply_labels_with_warnings(
         src: TokenSeq, labels: LabelSequence) -> tuple[TokenSeq, list[str]]:
     """Apply labels in one left-to-right pass.
 
+    The kept tokens between two edited positions are copied as one slice.
     A label that is not carried out keeps its token and adds one warning
     naming its position and the label: a sentinel label outside
     SENTINEL_KINDS, a rule with no rewrite for its token (a merge at the
@@ -356,16 +367,19 @@ def apply_labels_with_warnings(
         raise ValueError("label sequence length must match token count")
     out: list[str] = []
     warnings: list[str] = []
-    i = 0
     n = len(src)
-    while i < n:
+    keep = Kind.KEP
+    done = 0  # src[:done] is settled
+    for i in [i for i, label in enumerate(labels) if label.kind is not keep]:
+        if i < done:  # swallowed by the merge before it, which warned
+            continue
+        out += src[done:i]
+        done = i + 1
         tok = src[i]
         label = labels[i]
-        if i == 0 and label.kind not in SENTINEL_KINDS:
-            warnings.append(f"pos 0: {label} not allowed on sentinel")
-            label = KEEP
         kind = label.kind
-        if kind is Kind.KEP:
+        if i == 0 and kind not in SENTINEL_KINDS:
+            warnings.append(f"pos 0: {label} not allowed on sentinel")
             out.append(tok)
         elif kind is Kind.DEL:
             pass
@@ -374,13 +388,13 @@ def apply_labels_with_warnings(
             out.append(label.param)
         elif kind is Kind.REP:
             out.append(label.param)
-        elif kind is Kind.MRG and i + 1 < n:
-            out.append(tok + src[i + 1])
-            i += 1
-            swallowed = labels[i]  # extraction writes $DEL here
+        elif kind is Kind.MRG and done < n:
+            out.append(tok + src[done])
+            swallowed = labels[done]  # extraction writes $DEL here
             if swallowed.kind not in (Kind.KEP, Kind.DEL):
                 warnings.append(
-                    f"pos {i}: {swallowed} does not apply to {src[i]!r}")
+                    f"pos {done}: {swallowed} does not apply to {src[done]!r}")
+            done += 1
         else:  # a rule's rewrite, None when it does not apply
             if kind is Kind.CAS:
                 rewrite = morph.apply_case(tok, label.param)
@@ -399,7 +413,7 @@ def apply_labels_with_warnings(
                 out.extend(rewrite)
             else:
                 out.append(rewrite)
-        i += 1
+    out += src[done:]
     return tuple(out), warnings
 
 

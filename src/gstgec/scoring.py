@@ -1,9 +1,11 @@
 """Span-level precision / recall / F0.5 scoring of corrections.
 
 Hypothesis and reference sentences are each aligned to the shared source
-with the same aligner and tie-break used for label extraction; adjacent
-non-match operations merge into one edit span.  Counts are aggregated
-over the corpus before computing the ratios (micro-aggregation).
+with the same aligner and tie-break used for label extraction.  Its ops
+are the edits alone, and edits with no kept token between them (one op
+starts where the last one ended) merge into one edit span.  Counts are
+aggregated over the corpus before computing the ratios
+(micro-aggregation).
 """
 
 from __future__ import annotations
@@ -20,20 +22,21 @@ Edit = tuple[int, int, str]
 
 def extract_edits(source: TokenSeq, corrected: TokenSeq) -> set[Edit]:
     edits: set[Edit] = set()
-    run: list[tuple] = []
-    # a closing match ends the last run of non-match ops
-    for op in [*align_ops(source, corrected), ("match", None, None)]:
-        if op[0] != "match":
-            run.append(op)
-        elif run:
-            starts = [i for kind, i, _ in run if kind != "ins"]
-            if starts:
-                start, end = min(starts), max(starts) + 1
-            else:  # pure insertion run after anchor i
-                start = end = run[0][1] + 1
-            edits.add((start, end, " ".join(corrected[j] for kind, _, j in run
-                                            if kind != "del")))
-            run = []
+    start = end = -1  # the open span is source[start:end]; none yet
+    words: list[str] = []
+    for kind, i, j in align_ops(source, corrected):
+        # a sub or del at i starts at i, an insertion after anchor i at
+        # i + 1; each ends at i + 1
+        at = i + 1 if kind == "ins" else i
+        if at != end:  # a kept token lies between: close the open span
+            if end >= 0:
+                edits.add((start, end, " ".join(words)))
+            start, words = at, []
+        if kind != "del":
+            words.append(corrected[j])
+        end = i + 1
+    if end >= 0:
+        edits.add((start, end, " ".join(words)))
     return edits
 
 

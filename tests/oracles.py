@@ -1,6 +1,6 @@
 """Reference values and checks that more than one test module compares
-the program against: the published F0.5 rows and the finite-difference
-gradient oracle."""
+the program against: the published F0.5 rows, the finite-difference
+gradient oracle and the table-based alignment."""
 
 # Published single-model (P, R, F0.5) rows the arithmetic must reproduce.
 # The published F values were computed from unrounded P/R; re-deriving them
@@ -49,3 +49,51 @@ def finite_difference_check(params, grads, loss_fn) -> tuple[float, int]:
                 kinks += 1
             worst = max(worst, rel)
     return worst, kinks
+
+
+def reference_align_ops(src, tgt):
+    """Oracle: the (n+1)×(m+1) cost table and traceback of align_ops
+    before its bit-parallel columns, kept verbatim.  It lists the
+    matches too, as ("match", i, j); align_ops leaves them out.
+
+    Minimal-cost token alignment as a left-to-right op list.
+
+    Unit cost for insert/delete/substitute, zero for match.  Ties at
+    equal dynamic-programming cost are broken left to right preferring
+    match > substitution > deletion > insertion.
+    """
+    n, m = len(src), len(tgt)
+    # D[i][j] = minimal cost to align src[i:] with tgt[j:]
+    D = [[0] * (m + 1) for _ in range(n + 1)]
+    for j in range(m + 1):
+        D[n][j] = m - j
+    for i in range(n - 1, -1, -1):
+        D[i][m] = n - i
+        row, nxt = D[i], D[i + 1]
+        si = src[i]
+        for j in range(m - 1, -1, -1):
+            best = nxt[j + 1] + (0 if si == tgt[j] else 1)
+            if nxt[j] + 1 < best:
+                best = nxt[j] + 1
+            if row[j + 1] + 1 < best:
+                best = row[j + 1] + 1
+            row[j] = best
+    ops = []
+    i = j = 0
+    while i < n or j < m:
+        if (i < n and j < m and src[i] == tgt[j]
+                and D[i][j] == D[i + 1][j + 1]):
+            ops.append(("match", i, j))
+            i += 1
+            j += 1
+        elif i < n and j < m and D[i][j] == 1 + D[i + 1][j + 1]:
+            ops.append(("sub", i, j))
+            i += 1
+            j += 1
+        elif i < n and D[i][j] == 1 + D[i + 1][j]:
+            ops.append(("del", i, None))
+            i += 1
+        else:
+            ops.append(("ins", i - 1, j))
+            j += 1
+    return ops

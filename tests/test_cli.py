@@ -627,6 +627,55 @@ def test_gst_missing_output_directory_exits_1_before_training(
     assert str(out) in capsys.readouterr().err
 
 
+def test_train_with_a_directory_for_its_metrics_exits_1_before_training(
+        tmp_path, capsys, monkeypatch):
+    # every output is checked before any input is read, so a second run
+    # that could not write its metrics leaves the first run's files
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data)
+    out = tmp_path / "m.gst"
+    argv = ["train", "--data", str(data), "--out", str(out),
+            *TINY_MODEL_ARGS]
+    assert main([*argv, "--seed", "0"]) == 0
+    first = {path.name: path.read_bytes()
+             for path in (out, tmp_path / "m.gst.manifest")}
+    metrics = tmp_path / "m.gst.metrics.csv"
+    metrics.unlink()
+    metrics.mkdir()
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("train ran with nowhere to write its metrics")
+
+    monkeypatch.setattr(cli, "run_gst", refuse)
+    assert main([*argv, "--seed", "5"]) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write {metrics}: it is a directory\n"
+    assert {name: (tmp_path / name).read_bytes() for name in first} == first
+
+
+@pytest.mark.parametrize("command", ["align", "correct", "synthesize"])
+def test_manifest_that_is_a_directory_exits_1_and_writes_nothing(
+        tmp_path, capsys, command):
+    ckpt, _ = trained_checkpoint(tmp_path)
+    data = tmp_path / "pairs.tsv"
+    sentences = tmp_path / "in.txt"
+    write_sentences([("a", "b")], sentences)
+    out = tmp_path / "result"
+    argv = {"align": ["align", "--input", str(data), "--output", str(out)],
+            "correct": ["correct", "--model", str(ckpt),
+                        "--input", str(sentences), "--output", str(out)],
+            "synthesize": ["synthesize", "--model", str(ckpt),
+                           "--data", str(data), "--out", str(out)]}[command]
+    manifest = tmp_path / "result.manifest"
+    manifest.mkdir()
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        f"error: cannot write {manifest}: it is a directory\n"
+    assert not out.exists()
+
+
 # unicode, label-like and reserved tokens, and hyphens
 ODD_TOKENS = ["a", "dog", "ß", "İ", "e\u0301", "a\u200db", "猫", "🙂",
               "$KEEP", "$APPEND_x", "$MERGE_HYPHEN", "$DEL", "$START", "$UNK",

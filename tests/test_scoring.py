@@ -1,13 +1,38 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstgec.corpus import tokenize
+from gstgec import scoring
+from gstgec.corpus import SENTINEL, tokenize
 from gstgec.scoring import extract_edits, f_beta, report_from_counts, \
     score_corpus
 
-from oracles import PUBLISHED_ROWS, ROW_TOL
+from oracles import PUBLISHED_ROWS, ROW_TOL, reference_align_ops
+
+
+def reference_extract_edits(source, corrected, ops=None):
+    """Oracle: scoring.extract_edits while align_ops listed its matches,
+    kept verbatim but for the oracle alignment, or the full op list
+    given as ops."""
+    if ops is None:
+        ops = reference_align_ops(source, corrected)
+    edits = set()
+    run = []
+    # a closing match ends the last run of non-match ops
+    for op in [*ops, ("match", None, None)]:
+        if op[0] != "match":
+            run.append(op)
+        elif run:
+            starts = [i for kind, i, _ in run if kind != "ins"]
+            if starts:
+                start, end = min(starts), max(starts) + 1
+            else:  # pure insertion run after anchor i
+                start = end = run[0][1] + 1
+            edits.add((start, end, " ".join(corrected[j] for kind, _, j in run
+                                            if kind != "del")))
+            run = []
+    return edits
 
 
 @pytest.mark.parametrize("p,r,f", PUBLISHED_ROWS)
@@ -58,6 +83,46 @@ def test_extract_edits_insertion():
 def test_extract_edits_merges_adjacent_ops():
     edits = extract_edits(tokenize("a x y b"), tokenize("a z b"))
     assert edits == {(2, 4, "z")}
+
+
+@given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=12),
+       st.lists(st.sampled_from(["a", "b", "c"]), max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_extract_edits_equals_reference_hypothesis(src, tgt):
+    # three symbols force many equal-cost ties and adjacent edits
+    src, tgt = (SENTINEL, *src), (SENTINEL, *tgt)
+    assert extract_edits(src, tgt) == reference_extract_edits(src, tgt)
+
+
+def test_extract_edits_one_kept_token_splits_two_spans():
+    src, tgt = tokenize("a x b y c"), tokenize("a X b Y c")
+    assert extract_edits(src, tgt) == {(2, 3, "X"), (4, 5, "Y")}
+    assert reference_extract_edits(src, tgt) == extract_edits(src, tgt)
+
+
+@pytest.mark.parametrize("src,tgt,expected", [
+    ("a x b", "a y z b", {(2, 3, "y z")}),  # sub + ins
+    ("a x y b", "a z b", {(2, 4, "z")}),  # sub + del
+])
+def test_extract_edits_adjacent_ops_make_one_span(src, tgt, expected):
+    src, tgt = tokenize(src), tokenize(tgt)
+    assert extract_edits(src, tgt) == expected
+    assert reference_extract_edits(src, tgt) == expected
+
+
+@pytest.mark.parametrize("edits", [
+    [("del", 2, None), ("ins", 2, 2)],
+    [("ins", 1, 2), ("del", 2, None)],
+])
+def test_extract_edits_adjacent_del_and_ins_make_one_span(monkeypatch,
+                                                          edits):
+    # one sub is cheaper than a del next to an ins, so no minimal
+    # alignment lists them; the op list is given by hand
+    src, tgt = tokenize("a x b"), tokenize("a y b")
+    monkeypatch.setattr(scoring, "align_ops", lambda *_: edits)
+    full = [("match", 0, 0), ("match", 1, 1), *edits, ("match", 3, 3)]
+    assert extract_edits(src, tgt) == {(2, 3, "y")}
+    assert reference_extract_edits(src, tgt, full) == {(2, 3, "y")}
 
 
 def test_score_perfect():

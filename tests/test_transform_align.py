@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from gstgec import morph
 from gstgec.corpus import SENTINEL, SentencePair, tokenize
-from gstgec.labels import CASE_LABELS, DELETE, KEEP, MERGE, Kind, \
-    TransformLabel, align_ops, apply_labels, apply_labels_with_warnings, \
+from gstgec.labels import CASE_LABELS, DELETE, KEEP, MERGE, NUMBER, \
+    SENTINEL_KINDS, SPLIT, VERB_FORM_LABELS, Kind, TransformLabel, \
+    align_ops, apply_labels, apply_labels_with_warnings, \
     correct_iteratively, edit_distance, extract_labels, format_label, \
     measure_error_rate, parse_label
 from gstgec.corruption import corrupt_corpus, generate_clean_corpus
+
+from oracles import reference_align_ops
 
 
 def brute_force_distance(src, tgt):
@@ -32,53 +35,6 @@ def brute_force_distance(src, tgt):
         return best
 
     return go(0, 0)
-
-
-def reference_align_ops(src, tgt):
-    """Oracle: the (n+1)×(m+1) cost table and traceback of align_ops
-    before its bit-parallel columns, kept verbatim.
-
-    Minimal-cost token alignment as a left-to-right op list.
-
-    Unit cost for insert/delete/substitute, zero for match.  Ties at
-    equal dynamic-programming cost are broken left to right preferring
-    match > substitution > deletion > insertion.
-    """
-    n, m = len(src), len(tgt)
-    # D[i][j] = minimal cost to align src[i:] with tgt[j:]
-    D = [[0] * (m + 1) for _ in range(n + 1)]
-    for j in range(m + 1):
-        D[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        D[i][m] = n - i
-        row, nxt = D[i], D[i + 1]
-        si = src[i]
-        for j in range(m - 1, -1, -1):
-            best = nxt[j + 1] + (0 if si == tgt[j] else 1)
-            if nxt[j] + 1 < best:
-                best = nxt[j] + 1
-            if row[j + 1] + 1 < best:
-                best = row[j + 1] + 1
-            row[j] = best
-    ops = []
-    i = j = 0
-    while i < n or j < m:
-        if (i < n and j < m and src[i] == tgt[j]
-                and D[i][j] == D[i + 1][j + 1]):
-            ops.append(("match", i, j))
-            i += 1
-            j += 1
-        elif i < n and j < m and D[i][j] == 1 + D[i + 1][j + 1]:
-            ops.append(("sub", i, j))
-            i += 1
-            j += 1
-        elif i < n and D[i][j] == 1 + D[i + 1][j]:
-            ops.append(("del", i, None))
-            i += 1
-        else:
-            ops.append(("ins", i - 1, j))
-            j += 1
-    return ops
 
 
 def reference_detect_case(src, tgt):
@@ -237,16 +193,15 @@ def test_extract_matches_brute_force_cost():
                            rng.integers(0, 4, rng.integers(0, 6))))
         tgt = (SENTINEL, *(vocab[i] for i in
                            rng.integers(0, 4, rng.integers(0, 6))))
-        ops = align_ops(src, tgt)
-        cost = sum(1 for op in ops if op[0] != "match")
-        assert cost == brute_force_distance(src, tgt)
+        assert len(align_ops(src, tgt)) == brute_force_distance(src, tgt)
 
 
 def _assert_alignment_matches_reference(src, tgt):
+    # align_ops lists the reference's ops but its matches
     ops = align_ops(src, tgt)
-    assert ops == reference_align_ops(src, tgt)
-    assert edit_distance(src, tgt) == sum(1 for op in ops
-                                          if op[0] != "match")
+    assert ops == [op for op in reference_align_ops(src, tgt)
+                   if op[0] != "match"]
+    assert edit_distance(src, tgt) == len(ops)
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=12),
@@ -301,7 +256,7 @@ def test_align_ops_equals_reference_after_common_prefix(kind):
 def test_align_ops_identical_and_disjoint_pairs(n):
     same = tuple(f"w{k}" for k in range(n))
     other = tuple(f"x{k}" for k in range(n))
-    assert align_ops(same, same) == [("match", k, k) for k in range(n)]
+    assert align_ops(same, same) == []
     assert edit_distance(same, same) == 0
     assert align_ops(same, other) == [("sub", k, k) for k in range(n)]
     assert edit_distance(same, other) == n
@@ -318,8 +273,7 @@ def test_edit_distance_matches_brute_force():
         tgt = tuple(vocab[i] for i in rng.integers(0, 3, rng.integers(0, 13)))
         distance = edit_distance(src, tgt)
         assert distance == brute_force_distance(src, tgt)
-        assert distance == sum(1 for op in align_ops(src, tgt)
-                               if op[0] != "match")
+        assert distance == len(align_ops(src, tgt))
 
 
 def test_apply_all_keep_identity():
@@ -383,6 +337,138 @@ def test_apply_sentinel_delete_warns_and_keeps():
         src, [TransformLabel(Kind.DEL), KEEP])
     assert out == src
     assert warnings == ["pos 0: $DEL not allowed on sentinel"]
+
+
+def reference_apply_labels_with_warnings(src, labels):
+    """Oracle: labels.apply_labels_with_warnings before it copied kept
+    runs as slices, kept verbatim.
+
+    Apply labels in one left-to-right pass.
+
+    A label that is not carried out keeps its token and adds one warning
+    naming its position and the label: a sentinel label outside
+    SENTINEL_KINDS, a rule with no rewrite for its token (a merge at the
+    last position included), or the label of a token that a merge
+    swallows, unless that label is $KEP or $DEL."""
+    if len(src) != len(labels):
+        raise ValueError("label sequence length must match token count")
+    out = []
+    warnings = []
+    i = 0
+    n = len(src)
+    while i < n:
+        tok = src[i]
+        label = labels[i]
+        if i == 0 and label.kind not in SENTINEL_KINDS:
+            warnings.append(f"pos 0: {label} not allowed on sentinel")
+            label = KEEP
+        kind = label.kind
+        if kind is Kind.KEP:
+            out.append(tok)
+        elif kind is Kind.DEL:
+            pass
+        elif kind is Kind.APP:
+            out.append(tok)
+            out.append(label.param)
+        elif kind is Kind.REP:
+            out.append(label.param)
+        elif kind is Kind.MRG and i + 1 < n:
+            out.append(tok + src[i + 1])
+            i += 1
+            swallowed = labels[i]  # extraction writes $DEL here
+            if swallowed.kind not in (Kind.KEP, Kind.DEL):
+                warnings.append(
+                    f"pos {i}: {swallowed} does not apply to {src[i]!r}")
+        else:  # a rule's rewrite, None when it does not apply
+            if kind is Kind.CAS:
+                rewrite = morph.apply_case(tok, label.param)
+            elif kind is Kind.NNUM:
+                rewrite = morph.toggle_number(tok)
+            elif kind is Kind.VFORM:
+                rewrite = morph.apply_verb_form(tok, label.param)
+            elif kind is Kind.SPL:
+                rewrite = morph.split_hyphen(tok)
+            else:  # MRG at the last position
+                rewrite = None
+            if rewrite is None:
+                warnings.append(f"pos {i}: {label} does not apply to {tok!r}")
+                out.append(tok)
+            elif kind is Kind.SPL:
+                out.extend(rewrite)
+            else:
+                out.append(rewrite)
+        i += 1
+    return tuple(out), warnings
+
+
+# one label of each kind
+ONE_OF_EACH_KIND = [KEEP, DELETE, TransformLabel(Kind.APP, "x"),
+                    TransformLabel(Kind.REP, "y"), CASE_LABELS["UP_FIRST"],
+                    MERGE, SPLIT, NUMBER, VERB_FORM_LABELS["PAST"]]
+assert {label.kind for label in ONE_OF_EACH_KIND} == set(Kind)
+# every closed-set label, parameter labels, and a $KEP that is not the
+# shared constant
+EVERY_LABEL = [KEEP, parse_label("$KEP"), DELETE, MERGE, SPLIT, NUMBER,
+               *CASE_LABELS.values(), *VERB_FORM_LABELS.values(),
+               *(TransformLabel(kind, word) for kind in (Kind.APP, Kind.REP)
+                 for word in ("x", "over"))]
+# tokens on which each rule fires and tokens on which some do not
+APPLY_TOKENS = [SENTINEL, "over", "all", "well-known", "self-made-man",
+                "cat", "cats", "go", "went", "he", "The", "123", "a-", "",
+                "\u212a"]
+
+
+def _assert_apply_matches_reference(src, labels):
+    result = apply_labels_with_warnings(src, labels)
+    assert result == reference_apply_labels_with_warnings(src, labels)
+    return result
+
+
+@given(st.lists(st.tuples(st.sampled_from(APPLY_TOKENS),
+                          st.just(KEEP) | st.sampled_from(EVERY_LABEL)),
+                max_size=12))
+@settings(max_examples=500, deadline=None)
+def test_apply_equals_reference_hypothesis(rows):
+    # about half the labels keep, so kept runs of every length occur
+    src = tuple(tok for tok, _ in rows)
+    _assert_apply_matches_reference(src, [label for _, label in rows])
+
+
+@pytest.mark.parametrize("label", ONE_OF_EACH_KIND, ids=str)
+def test_apply_merge_followed_by_each_kind_equals_reference(label):
+    src = tokenize("over all day")
+    out, warnings = _assert_apply_matches_reference(
+        src, [KEEP, MERGE, label, KEEP])
+    assert out == tokenize("overall day")
+    assert len(warnings) == (label.kind not in (Kind.KEP, Kind.DEL))
+    # the swallowed label at the last position, then past a kept run
+    _assert_apply_matches_reference(src[:3], [KEEP, MERGE, label])
+    _assert_apply_matches_reference(src, [KEEP, KEEP, MERGE, label])
+
+
+@pytest.mark.parametrize("label", ONE_OF_EACH_KIND, ids=str)
+def test_apply_label_at_either_end_equals_reference(label):
+    # position 0 admits only SENTINEL_KINDS; a merge at the last
+    # position has nothing to join
+    src = tokenize("over all")
+    out, warnings = _assert_apply_matches_reference(src, [label, KEEP, KEEP])
+    if label.kind not in SENTINEL_KINDS:
+        assert (out, warnings) == \
+            (src, [f"pos 0: {label} not allowed on sentinel"])
+    out, warnings = _assert_apply_matches_reference(src, [KEEP, KEEP, label])
+    if label.kind is Kind.MRG:
+        assert (out, warnings) == \
+            (src, ["pos 2: $MRG does not apply to 'all'"])
+
+
+def test_apply_empty_source():
+    assert apply_labels_with_warnings((), []) == ((), [])
+    assert reference_apply_labels_with_warnings((), []) == ((), [])
+    for apply in (apply_labels_with_warnings,
+                  reference_apply_labels_with_warnings):
+        with pytest.raises(ValueError, match="^label sequence length must "
+                           "match token count$"):
+            apply((), [KEEP])
 
 
 def test_measure_error_rate():
