@@ -31,7 +31,9 @@ def _rewrites(token: str, rule: str) -> list[tuple[str, ...]]:
     elif rule == "duplicate":
         return [(token, token)]
     elif rule == "verb_form":
-        return [(alt,) for alt in morph.verb_form_alternatives(token)]
+        forms = [morph.apply_verb_form(token, tag) for tag in morph.VERB_TAGS]
+        return [(form,) for form in dict.fromkeys(forms)
+                if form is not None and form != token]
     elif rule == "noun_num":
         toggled = morph.toggle_number(token)
         if toggled is not None and toggled != token:

@@ -75,12 +75,13 @@ def correct(model: GecModel, sentence: TokenSeq,
     """Iteratively correct one tokenized sentence."""
     trace = CorrectionTrace()
     cur = sentence
+    keep = Kind.KEP
     for _ in range(config.max_iters):
         ged, gel = model.forward_tokens(cur)
         score = sentence_error_score(ged)
         labels = model.label_vocab.decode(
             keep_biased_ids(gel, config.beta).tolist())
-        any_edit = any(lab.kind is not Kind.KEP for lab in labels)
+        any_edit = any(lab.kind is not keep for lab in labels)
         if score <= config.gamma or not any_edit:
             trace.rounds.append(CorrectionRound(cur, labels, score, False))
             break

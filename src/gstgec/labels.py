@@ -17,7 +17,7 @@ pair is matched before the bit-parallel alignment pass, which then runs
 on the remaining suffixes alone.  The alignment lists only its edits
 (substitutions, deletions and insertions); a kept token is implied
 wherever the next edit does not start where the last one ended.  So
-extraction starts from all-keep labels and visits the edits alone, and
+extraction starts from all-keep labels and visits each edit once, and
 application copies the runs of kept tokens between edited positions as
 slices.  Every closed-set label (keep, delete, merge, split, noun
 number, and each case rule and verb-form tag) is one shared immutable
@@ -100,19 +100,17 @@ def format_label(label: TransformLabel) -> str:
     return f"${label.kind.value}_{label.param}"
 
 
+_KINDS = {f"${kind.value}": kind for kind in Kind}  # the text before "_"
+
+
 def parse_label(text: str) -> TransformLabel:
-    """Inverse of format_label; raises ValueError on unknown labels."""
-    if not text.startswith("$"):
-        raise ValueError(f"label must start with '$': {text!r}")
-    body = text[1:]
-    for kind in Kind:
-        if kind in _PARAM_KINDS:
-            prefix = kind.value + "_"
-            if body.startswith(prefix):
-                return TransformLabel(kind, body[len(prefix):])
-        elif body == kind.value:
-            return TransformLabel(kind)
-    raise ValueError(f"unknown label {text!r}")
+    """Inverse of format_label; raises ValueError on unknown labels, and
+    TransformLabel on a missing, extra or bad parameter."""
+    name, sep, param = text.partition("_")
+    kind = _KINDS.get(name)
+    if kind is None:
+        raise ValueError(f"unknown label {text!r}")
+    return TransformLabel(kind, param if sep else None)
 
 
 class LabelVocab:
@@ -289,19 +287,18 @@ def edit_distance(src: TokenSeq, tgt: TokenSeq) -> int:
 
 
 def _classify_sub(src, tgt, ops, idx):
-    """Turn a substitution op into a g-transformation when a rule fires.
-
-    Returns (label, label_for_next_source_pos_or_None, ops consumed).
-    """
+    """The label of the substitution ops[idx]: the first rule that turns
+    its token into the target's, else a replacement.  The ops after it
+    that a merge or split reads settle themselves in extract_labels."""
     _, i, j = ops[idx]
     s, t = src[i], tgt[j]
     rule = morph.detect_case(s, t)
     if rule is not None:
-        return CASE_LABELS[rule], None, 1
+        return CASE_LABELS[rule]
     # merge: sub(i) followed by deletion of i+1 whose join equals the target
     if (idx + 1 < len(ops) and ops[idx + 1][0] == "del"
             and ops[idx + 1][1] == i + 1 and s + src[i + 1] == t):
-        return MERGE, DELETE, 2
+        return MERGE
     # split: sub to the first dash part, then insertions of the rest
     parts = morph.split_hyphen(s)
     if parts is not None and parts[0] == t:
@@ -310,41 +307,32 @@ def _classify_sub(src, tgt, ops, idx):
         if (len(tail) == k
                 and all(op[0] == "ins" and op[1] == i for op in tail)
                 and [tgt[op[2]] for op in tail] == parts[1:]):
-            return SPLIT, None, 1 + k
+            return SPLIT
     if morph.toggle_number(s) == t:
-        return NUMBER, None, 1
-    tag = morph.detect_verb_form(s, t)
-    if tag is not None:
-        return VERB_FORM_LABELS[tag], None, 1
-    return TransformLabel(Kind.REP, t), None, 1
+        return NUMBER
+    for tag, label in VERB_FORM_LABELS.items():
+        if morph.apply_verb_form(s, tag) == t:
+            return label
+    return TransformLabel(Kind.REP, t)
 
 
 def extract_labels(pair: SentencePair) -> LabelSequence:
     """One corrective label per source position (sentinel included).
 
-    Every position starts as KEEP, and only the edits of align_ops
-    rewrite labels."""
+    Every position starts as KEEP, and each edit of align_ops settles
+    its own: a merge's del writes DELETE on the token it swallows, and an
+    ins is an APPEND only on a KEEP anchor, so a split's insertions and
+    later ones in a run (or at an edited anchor) wait for the next pass."""
     src, tgt = pair.source, pair.target
     ops = align_ops(src, tgt)
     labels = [KEEP] * len(src)
-    idx = 0
-    while idx < len(ops):
-        op, i, j = ops[idx]
+    for idx, (op, i, j) in enumerate(ops):
         if op == "del":
             labels[i] = DELETE
-            idx += 1
         elif op == "sub":
-            label, next_label, consumed = _classify_sub(src, tgt, ops, idx)
-            labels[i] = label
-            if next_label is not None:
-                labels[i + 1] = next_label
-            idx += consumed
-        else:  # ins
-            # attach to a KEP anchor; later insertions in a run (and
-            # insertions at already-edited anchors) wait for the next pass
-            if i >= 0 and labels[i] is KEEP:
-                labels[i] = TransformLabel(Kind.APP, tgt[j])
-            idx += 1
+            labels[i] = _classify_sub(src, tgt, ops, idx)
+        elif i >= 0 and labels[i] is KEEP:  # ins
+            labels[i] = TransformLabel(Kind.APP, tgt[j])
     return labels
 
 
@@ -456,8 +444,9 @@ def measure_error_rate(labels: LabelSequence) -> float:
     KEEP, so a clean sentence scores exactly 0 and an APPEND on the
     sentinel counts like any other edit.
     """
-    non_kep = sum(1 for lab in labels if lab.kind is not Kind.KEP)
-    denom = len(labels) if labels and labels[0].kind is not Kind.KEP \
+    keep = Kind.KEP
+    non_kep = sum(1 for lab in labels if lab.kind is not keep)
+    denom = len(labels) if labels and labels[0].kind is not keep \
         else len(labels) - 1
     if denom <= 0:
         return 0.0

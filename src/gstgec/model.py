@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,10 +110,11 @@ def init_params(cfg: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Uniform(-0.1, 0.1) weights; layer-norm gain 1, biases 0; all views
     of one vector."""
     rng = np.random.default_rng(seed)
-    # sized from a lazy walk, so a model too large to allocate fails
-    # before the shapes of all its layers are held at once
-    flat = np.empty(sum(math.prod(shape) for _, shape in param_shapes(cfg)),
-                    cfg.dtype)
+    # each layer adds the same size, so sizing walks one layer, not all
+    bare, one = (sum(math.prod(shape) for _, shape in
+                     param_shapes(replace(cfg, layers=layers)))
+                 for layers in (0, 1))
+    flat = np.empty(bare + cfg.layers * (one - bare), cfg.dtype)
     shapes = dict(param_shapes(cfg))
     params = param_views(flat, shapes)
     for name, arr in params.items():

@@ -4,9 +4,11 @@ Four rule families live here: case changes and hyphen splits (purely
 algorithmic), noun-number toggling (suffix rules plus an irregular
 lexicon), and verb-form mapping (an explicit irregular table plus
 regular suffix rules over a list of common lemmas).  Every applier
-returns ``None`` when no rule fires.  Label extraction then falls back
-to a plain replacement (``$REP``); label application keeps the token
-and warns.
+returns ``None`` when no rule fires, and also detects its rule and lists
+a token's alternatives: label extraction applies and compares, falling
+back to a plain replacement (``$REP``), and corruption takes the
+distinct rewrites.  Only detect_case stands apart, for its ASCII guard.
+Label application keeps a token no rule rewrites, and warns.
 """
 
 from __future__ import annotations
@@ -230,35 +232,8 @@ for _lemma, _forms in VERB_FORMS.items():
 
 def apply_verb_form(word: str, tag: str) -> str | None:
     """Map a verb token to the requested form of its lemma."""
-    if tag not in VERB_TAGS:
-        return None
     lemma = _FORM_LEMMA.get(word)
-    if lemma is None:
+    if lemma is None or tag not in VERB_TAGS:
         return None
     return VERB_FORMS[lemma][VERB_TAGS.index(tag)]
 
-
-def detect_verb_form(src: str, tgt: str) -> str | None:
-    """Tag such that apply_verb_form(src, tag) == tgt, or None."""
-    if src == tgt:
-        return None
-    lemma = _FORM_LEMMA.get(src)
-    if lemma is None:
-        return None
-    forms = VERB_FORMS[lemma]
-    for tag, form in zip(VERB_TAGS, forms):
-        if form == tgt:
-            return tag
-    return None
-
-
-def verb_form_alternatives(word: str) -> list[str]:
-    """Distinct forms of word's lemma other than word itself."""
-    lemma = _FORM_LEMMA.get(word)
-    if lemma is None:
-        return []
-    out = []
-    for form in VERB_FORMS[lemma]:
-        if form != word and form not in out:
-            out.append(form)
-    return out

@@ -446,6 +446,24 @@ def test_model_too_large_to_allocate_fails_in_bounded_memory(tmp_path):
     assert peak_kb < 120 * 1024  # ru_maxrss is in kilobytes on Linux
 
 
+def test_model_with_huge_layer_count_fails_at_once(tmp_path):
+    # the vector's size is computed, not walked one layer at a time
+    data = tmp_path / "pairs.tsv"
+    write_pairs_file(data)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(cli.__file__).parents[1]),
+               os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "gstgec.cli", "train", "--data", str(data),
+         "--out", str(tmp_path / "m.gst"), "--layers", str(10 ** 12)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert not (tmp_path / "m.gst").exists()
+
+
 def test_train_negative_layers_exits_2(tmp_path, capsys):
     data, _ = toy_training_files(tmp_path, n=5)
     out = tmp_path / "m.gst"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from gstgec.corpus import SENTINEL, SentencePair, tokenize
-from gstgec.corruption import ALL_RULES, corrupt_corpus, corrupt_sentence, \
-    generate_clean_corpus
+from gstgec.corruption import ALL_RULES, _rewrites, corrupt_corpus, \
+    corrupt_sentence, generate_clean_corpus
 from gstgec.labels import Kind, correct_iteratively, extract_labels, \
     measure_error_rate
-from gstgec import training
+from gstgec import morph, training
 from gstgec.model import AdamState, GecModel, loss_only
 from gstgec.sampling import SamplingConfig, SamplingMode
 from gstgec.training import TrainingConfig, build_dataset, build_vocabs, \
@@ -462,6 +462,17 @@ def test_corrupt_unknown_rule_matches_nothing():
     assert corrupt_sentence(clean, 1.0, rng, rules=("bogus",)).source == clean
     pair = corrupt_sentence(clean, 1.0, rng, rules=("bogus", "case"))
     assert pair.source == tokenize("He Ran Home")
+
+
+def test_verb_form_rewrites_are_the_other_forms_of_the_lemma():
+    # a form shared by two lemmas belongs to the first in VERB_FORMS order
+    for form in {f for forms in morph.VERB_FORMS.values() for f in forms}:
+        lemma_forms = next(forms for forms in morph.VERB_FORMS.values()
+                           if form in forms)
+        assert _rewrites(form, "verb_form") == [
+            (f,) for f in dict.fromkeys(lemma_forms) if f != form]
+    assert _rewrites("put", "verb_form") == [("puts",), ("putting",)]
+    assert _rewrites("cat", "verb_form") == []
 
 
 def test_corrupt_corpus_streams_are_pinned():
